@@ -137,22 +137,10 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
 /// Runs the simulated system at a fixed term over `trace` with standard
 /// experiment settings (60 s warmup, batched extensions).
 pub fn run_at_term(trace: &Trace, term: Dur, seed: u64) -> RunReport {
-    run_at_term_with(trace, term, seed, lease_sim::QueueKind::default())
-}
-
-/// [`run_at_term`] with an explicit event-queue backend, for the
-/// wheel-vs-heap benchmark comparisons.
-pub fn run_at_term_with(
-    trace: &Trace,
-    term: Dur,
-    seed: u64,
-    queue: lease_sim::QueueKind,
-) -> RunReport {
     let cfg = SystemConfig {
         term: TermSpec::Fixed(term),
         warmup: Dur::from_secs(60),
         seed,
-        queue,
         ..SystemConfig::default()
     };
     run_trace(&cfg, trace)

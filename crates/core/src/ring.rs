@@ -737,8 +737,13 @@ mod tests {
         assert_eq!(bell.wakes(), 0);
         let b2 = Arc::clone(&bell);
         let parker = std::thread::spawn(move || {
-            let t = b2.ticket();
-            b2.wait(t, Duration::from_secs(5));
+            // A ring landing between `ticket` and `wait` makes the wait
+            // return at once with no sleeper to count, so park again
+            // until a counted wake has happened.
+            while b2.wakes() == 0 {
+                let t = b2.ticket();
+                b2.wait(t, Duration::from_secs(5));
+            }
         });
         // Ring until the sleeper registers and the wake is counted.
         while bell.wakes() == 0 {

@@ -5,80 +5,67 @@ use lease_sim::{Actor, ActorId, Ctx, EventQueue, PerfectMedium, SimRng, World};
 use proptest::prelude::*;
 
 proptest! {
-    /// The event queue pops in non-decreasing time order, FIFO on ties —
-    /// on both backends.
+    /// The event queue pops in non-decreasing time order, FIFO on ties.
     #[test]
     fn queue_pops_sorted_fifo(times in proptest::collection::vec(0u64..1000, 1..200)) {
-        for kind in [lease_sim::QueueKind::Wheel, lease_sim::QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, t) in times.iter().enumerate() {
-                q.push(Time(*t), i);
-            }
-            let mut last: Option<(Time, usize)> = None;
-            while let Some((at, seq)) = q.pop() {
-                if let Some((lat, lseq)) = last {
-                    prop_assert!(at >= lat);
-                    if at == lat {
-                        prop_assert!(seq > lseq, "ties must pop FIFO");
-                    }
+        let mut q = EventQueue::new();
+        for (i, t) in times.iter().enumerate() {
+            q.push(Time(*t), i);
+        }
+        let mut last: Option<(Time, usize)> = None;
+        while let Some((at, seq)) = q.pop() {
+            if let Some((lat, lseq)) = last {
+                prop_assert!(at >= lat);
+                if at == lat {
+                    prop_assert!(seq > lseq, "ties must pop FIFO");
                 }
-                last = Some((at, seq));
             }
+            last = Some((at, seq));
         }
     }
 
-    /// The wheel-backed queue is observationally equivalent to the
-    /// binary-heap executable spec under arbitrary push/pop/cancel/peek
-    /// interleavings — including same-instant FIFO tie-breaks, sub-tick
-    /// instants, and far-future deadlines (the determinism contract
-    /// documented in `event.rs`).
+    /// The queue matches a plain model — a `Vec` kept sorted by
+    /// `(at, push index)` — under arbitrary push/pop/peek interleavings:
+    /// dense same-instant ties, distinct instants a few ns apart, ms-scale
+    /// instants, and end-of-time deadlines.
     #[test]
-    fn wheel_queue_matches_heap_spec(
+    fn queue_matches_sorted_vec_model(
         ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..400),
     ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap();
-        let mut handles = Vec::new();
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Time, u64)> = Vec::new();
         let mut next_val = 0u64;
         for (op, x) in ops {
             match op {
                 // Pushes dominate so the drain below has work to compare.
                 0..=3 => {
-                    // A mix of dense ties, tick-aligned, sub-tick, and
-                    // far-future instants (the wheel's three routing
-                    // regimes plus its quantization boundary).
                     let at = match x % 4 {
-                        0 => Time(x % 100),
-                        1 => Time((x % 50) * 1_000),
+                        0 => Time(x % 4),
+                        1 => Time(1_000 + x % 8),
                         2 => Time(x % 10_000_000),
-                        _ => Time(u64::MAX - (x % 1000)),
+                        _ => Time(u64::MAX - (x % 3)),
                     };
                     let v = next_val;
                     next_val += 1;
-                    let hw = wheel.push(at, v);
-                    let hh = heap.push(at, v);
-                    prop_assert_eq!(hw, hh, "handles must mirror");
-                    handles.push(hw);
+                    q.push(at, v);
+                    // Push indices grow, so inserting after every entry
+                    // with `at <= this at` keeps the model FIFO on ties.
+                    let i = model.partition_point(|&(m, _)| m <= at);
+                    model.insert(i, (at, v));
                 }
-                4 | 5 => prop_assert_eq!(wheel.pop(), heap.pop()),
-                6 => {
-                    if !handles.is_empty() {
-                        let h = handles[(x as usize) % handles.len()];
-                        wheel.cancel(h);
-                        heap.cancel(h);
-                    }
+                4 | 5 => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(q.pop(), want);
                 }
-                _ => prop_assert_eq!(wheel.peek_time(), heap.peek_time()),
+                _ => prop_assert_eq!(q.peek_time(), model.first().map(|&(at, _)| at)),
             }
+            prop_assert_eq!(q.len(), model.len());
         }
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(&a, &b, "drain order must match");
-            if a.is_none() {
-                break;
-            }
+        for want in model {
+            prop_assert_eq!(q.pop(), Some(want));
         }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Forked RNG streams are independent of sibling draw order.

@@ -40,7 +40,7 @@ use lease_core::{
 };
 use lease_svc::{
     AdmissionControl, ClientSink, FaultPlan, LeaseService, OverloadPlan, SvcConfig, SvcHandle,
-    SvcHooks,
+    SvcHooks, WorkerSink,
 };
 
 type R = u64;
@@ -84,14 +84,24 @@ instant.
                   re-measure before failing.
   --help          this text";
 
-/// Delivers shard output onto per-client reply channels.
+/// Delivers shard output onto per-client reply channels; every shard
+/// worker sends over its own clones of the senders.
+#[derive(Clone)]
 struct ChannelSink {
     txs: Vec<Sender<ToClient<R, D>>>,
 }
 
 impl ClientSink<R, D> for ChannelSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let _ = self.txs[to.0 as usize].send(msg);
+    fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>> {
+        Box::new(self.clone())
+    }
+}
+
+impl WorkerSink<R, D> for ChannelSink {
+    fn deliver_batch(&mut self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
+        for (to, msg) in msgs.drain(..) {
+            let _ = self.txs[to.0 as usize].send(msg);
+        }
     }
 }
 

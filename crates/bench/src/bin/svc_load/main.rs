@@ -14,13 +14,10 @@
 //!   `batch × 2 × shards` ops in flight — the throughput path the
 //!   sharded service is built around.
 //!
-//! Each closed-loop configuration runs twice: once with replies on
-//! per-client channels (`egress=channel`, the pre-ring reply path kept
-//! as the executable baseline) and once over per-(shard→client) SPSC
-//! ring lanes with coalesced doorbells (`egress=ring`, the hot path).
-//! Ring rows also record **wakes/op** — futex-backed doorbell wakeups
-//! per completed op — the figure the coalesced flush is built to
-//! collapse.
+//! Replies travel the service's one reply path: per-(shard→client) SPSC
+//! ring lanes with coalesced doorbells. Every row also records
+//! **wakes/op** — futex-backed doorbell wakeups per completed op — the
+//! figure the coalesced flush is built to collapse.
 //!
 //! It reports sustained ops/sec, grants/sec and p50/p95/p99 op latency
 //! per row. Results are written to `BENCH_svc.json` so future PRs can
@@ -44,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::RecvTimeoutError;
 use lease_bench::percentile;
 use lease_bench::sweep::{parse_threads, pin_to_core};
 use lease_clock::Dur;
@@ -52,8 +49,8 @@ use lease_core::{
     ClientId, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient, ToServer,
 };
 use lease_svc::{
-    BatchBuf, ClientSink, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
-    SvcConfig, SvcHandle, SvcHooks,
+    BatchBuf, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan, SvcConfig,
+    SvcHandle, SvcHooks,
 };
 
 type R = u64;
@@ -100,16 +97,12 @@ svc_load: closed-loop load generator for the sharded lease service
                   of writing. Fails unless batched ops/s at shards=4
                   beats shards=1, and unless the fresh s4/s1 ratios are
                   within 25% of the baseline's — compared same-mode
-                  (per-op against per-op, batched against batched,
-                  channel egress against channel, ring against ring; a
-                  mode the baseline never recorded, e.g. a v3 baseline's
-                  missing ring rows, is skipped). On a host with >= 4
-                  cores the pinned scaling curve must also show batched
-                  s4 >= 2x batched s1, and pinned per-op s4 with ring
-                  egress must beat channel egress by at least 75% of the
-                  baseline's recorded ring/channel ratio (and at least
-                  1.0x); on smaller hosts both gates are skipped with a
-                  visible notice. One re-measure before failing.
+                  (per-op against per-op, batched against batched). The
+                  baseline must be a v5 (ring-only) recording. On a host
+                  with >= 4 cores the pinned scaling curve must also
+                  show batched s4 >= 2x batched s1; on smaller hosts
+                  that gate is skipped with a visible notice. One
+                  re-measure before failing.
   --help          this text
 
 Client threads are pinned round-robin across cores (best effort, Linux
@@ -120,53 +113,22 @@ clients); the batched rows still scale with shards there because the
 in-flight window — and so the work a shard drains per wakeup — grows
 with the shard count.";
 
-/// Delivers shard output onto per-client reply channels.
-struct ChannelSink {
-    txs: Vec<Sender<ToClient<R, D>>>,
-}
-
-impl ClientSink<R, D> for ChannelSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let _ = self.txs[to.0 as usize].send(msg);
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        // Group consecutive same-client replies so each run costs one
-        // locked enqueue instead of one per message.
-        let mut run: Vec<ToClient<R, D>> = Vec::new();
-        let mut it = msgs.drain(..).peekable();
-        while let Some((to, msg)) = it.next() {
-            run.push(msg);
-            while it.peek().is_some_and(|(next, _)| *next == to) {
-                run.push(it.next().unwrap().1);
-            }
-            let _ = self.txs[to.0 as usize].send_many(run.drain(..));
-        }
-    }
-}
-
-/// Where one client's replies come from: its channel (`egress=channel`)
-/// or its adopted SPSC egress lanes (`egress=ring`). The client loops
-/// are written against this adapter so the two reply paths run the
-/// *same* workload logic; only the transport differs.
-enum Replies {
-    Chan(Receiver<ToClient<R, D>>),
-    Ring {
-        lanes: EgressRx<R, D>,
-        /// Drained-but-undelivered messages (lanes drain in bulk; the
-        /// loops consume one at a time).
-        q: VecDeque<ToClient<R, D>>,
-        scratch: Vec<ToClient<R, D>>,
-        /// Spin briefly before parking (multicore hosts only — on one
-        /// core spinning just steals the shard worker's timeslice).
-        spin: u32,
-    },
+/// One client's replies: its adopted SPSC egress lanes, drained in bulk
+/// and handed to the client loops one message at a time.
+struct Replies {
+    lanes: EgressRx<R, D>,
+    /// Drained-but-undelivered messages.
+    q: VecDeque<ToClient<R, D>>,
+    scratch: Vec<ToClient<R, D>>,
+    /// Spin briefly before parking (multicore hosts only — on one core
+    /// spinning just steals the shard worker's timeslice).
+    spin: u32,
 }
 
 impl Replies {
-    fn ring(lanes: EgressRx<R, D>) -> Replies {
+    fn new(lanes: EgressRx<R, D>) -> Replies {
         let multicore = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        Replies::Ring {
+        Replies {
             lanes,
             q: VecDeque::new(),
             scratch: Vec::new(),
@@ -175,64 +137,47 @@ impl Replies {
     }
 
     /// Blocking receive with a deadline, mirroring
-    /// `Receiver::recv_timeout`: the ring side drains its lanes with the
+    /// `Receiver::recv_timeout`: drains the lanes with the
     /// ticket-before-final-poll spin-then-park loop and reports
     /// `Timeout` (lanes cannot disconnect mid-run; the service outlives
     /// every measuring client).
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ToClient<R, D>, RecvTimeoutError> {
-        match self {
-            Replies::Chan(rx) => rx.recv_timeout(timeout),
-            Replies::Ring {
-                lanes,
-                q,
-                scratch,
-                spin,
-            } => {
-                if let Some(m) = q.pop_front() {
-                    return Ok(m);
-                }
-                let deadline = Instant::now() + timeout;
-                loop {
-                    let ticket = lanes.bell().ticket();
-                    if lanes.drain_into(scratch, 1024) > 0 {
-                        q.extend(scratch.drain(..));
-                        return Ok(q.pop_front().expect("drained non-empty"));
-                    }
-                    let mut found = false;
-                    for _ in 0..*spin {
-                        if lanes.drain_into(scratch, 1024) > 0 {
-                            found = true;
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    if found {
-                        q.extend(scratch.drain(..));
-                        return Ok(q.pop_front().expect("drained non-empty"));
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                    lanes.bell().wait(ticket, deadline - now);
-                }
+        if let Some(m) = self.q.pop_front() {
+            return Ok(m);
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            let ticket = self.lanes.bell().ticket();
+            if self.lanes.drain_into(&mut self.scratch, 1024) > 0 {
+                self.q.extend(self.scratch.drain(..));
+                return Ok(self.q.pop_front().expect("drained non-empty"));
             }
+            let mut found = false;
+            for _ in 0..self.spin {
+                if self.lanes.drain_into(&mut self.scratch, 1024) > 0 {
+                    found = true;
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            if found {
+                self.q.extend(self.scratch.drain(..));
+                return Ok(self.q.pop_front().expect("drained non-empty"));
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            self.lanes.bell().wait(ticket, deadline - now);
         }
     }
 
     /// Non-blocking receive, mirroring `Receiver::try_recv`.
     fn try_recv(&mut self) -> Option<ToClient<R, D>> {
-        match self {
-            Replies::Chan(rx) => rx.try_recv().ok(),
-            Replies::Ring {
-                lanes, q, scratch, ..
-            } => {
-                if q.is_empty() && lanes.drain_into(scratch, 1024) > 0 {
-                    q.extend(scratch.drain(..));
-                }
-                q.pop_front()
-            }
+        if self.q.is_empty() && self.lanes.drain_into(&mut self.scratch, 1024) > 0 {
+            self.q.extend(self.scratch.drain(..));
         }
+        self.q.pop_front()
     }
 }
 
@@ -568,25 +513,14 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The `egress` tag a pre-v4 baseline row gets when parsed: every row
-/// recorded before the ring reply path existed measured the channel
-/// sink.
-fn default_egress() -> String {
-    "channel".to_string()
-}
-
 /// One row of the sweep, as printed and as recorded in `BENCH_svc.json`.
 /// `batch == 1` rows come from the per-op closed loop; larger batches
-/// from the windowed pipelined loop. `egress` (new in schema v4) says
-/// which reply path the row measured — v3 baselines parse as
-/// channel-mode rows — and ring rows also record `wakes_per_op`, the
-/// futex-backed doorbell wakeups per completed op.
+/// from the windowed pipelined loop. `wakes_per_op` is the futex-backed
+/// doorbell wakeups per completed op.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct SweepRow {
     shards: usize,
     batch: usize,
-    #[serde(default = "default_egress")]
-    egress: String,
     ops: u64,
     ops_per_sec: f64,
     grants_per_sec: f64,
@@ -626,11 +560,10 @@ struct SvcBench {
 /// clients (the row is marked `batch = 0`). With `pin`, shard workers
 /// are pinned to cores `0..shards` and clients to the cores after them
 /// (the scaling-curve placement); without it, clients pin round-robin
-/// from core 0 and workers float, as the main sweep always has. With
-/// `ring_egress`, replies travel per-client SPSC lanes with coalesced
-/// doorbells instead of the crossbeam channel, and the row records
-/// `wakes_per_op` (sleeper-present doorbell wakes / completed ops).
-#[allow(clippy::too_many_arguments)] // one knob per argument
+/// from core 0 and workers float, as the main sweep always has. Replies
+/// travel per-client SPSC lanes with coalesced doorbells, and the row
+/// records `wakes_per_op` (sleeper-present doorbell wakes / completed
+/// ops).
 fn run_config(
     shards: usize,
     clients: u32,
@@ -639,26 +572,13 @@ fn run_config(
     batch: usize,
     open_loop: Option<f64>,
     pin: bool,
-    ring_egress: bool,
 ) -> SweepRow {
     // Open-loop rows are tagged batch=0 in the sweep output.
     let batch = if open_loop.is_some() { 0 } else { batch };
     let egress: Egress<R, D> = Egress::new(clients as usize, 1024);
-    let mut replies: Vec<Replies> = Vec::new();
-    let sink: Arc<dyn lease_svc::ClientSink<R, D>> = if ring_egress {
-        for i in 0..clients as usize {
-            replies.push(Replies::ring(egress.rx(i)));
-        }
-        Arc::new(EgressSink::new(egress.clone()))
-    } else {
-        let mut txs = Vec::new();
-        for _ in 0..clients {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            replies.push(Replies::Chan(rx));
-        }
-        Arc::new(ChannelSink { txs })
-    };
+    let replies: Vec<Replies> = (0..clients as usize)
+        .map(|i| Replies::new(egress.rx(i)))
+        .collect();
     let base = SvcConfig::default();
     let service = LeaseService::spawn(
         SvcConfig {
@@ -668,7 +588,7 @@ fn run_config(
             pin: pin.then_some(0),
             ..base
         },
-        sink,
+        Arc::new(EgressSink::new(egress.clone())),
         SvcHooks::default(),
         move |_| {
             // Every shard preloads the full set; the router only sends a
@@ -730,11 +650,10 @@ fn run_config(
     service.shutdown();
     lats.sort_unstable();
     let ops = lats.len() as u64;
-    let wakes_per_op = (ring_egress && ops > 0).then(|| egress.wakes() as f64 / ops as f64);
+    let wakes_per_op = (ops > 0).then(|| egress.wakes() as f64 / ops as f64);
     let row = SweepRow {
         shards,
         batch,
-        egress: if ring_egress { "ring" } else { "channel" }.to_string(),
         ops,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
         grants_per_sec: grants as f64 / elapsed.as_secs_f64(),
@@ -744,10 +663,9 @@ fn run_config(
         p99_us: percentile(&lats, 0.99) / 1_000,
     };
     println!(
-        "shards={:<2} batch={:<3} egress={:<7} ops={:>8} ops/s={:>8.0} grants/s={:>8.0} p50={:>5}us p95={:>5}us p99={:>5}us{}{}",
+        "shards={:<2} batch={:<3} ops={:>8} ops/s={:>8.0} grants/s={:>8.0} p50={:>5}us p95={:>5}us p99={:>5}us{}{}",
         row.shards,
         row.batch,
-        row.egress,
         row.ops,
         row.ops_per_sec,
         row.grants_per_sec,
@@ -773,11 +691,14 @@ struct Opts {
     open_loop: Option<f64>,
 }
 
-/// Runs the full sweep: per shard count, a per-op and a batched row in
-/// *each* egress mode — channel (the spec path) then ring (the SPSC
-/// lane path) — or one channel open-loop row per shard count in
-/// `--open-loop` mode, followed by the core-pinned scaling curve over
-/// `scale_counts`, again in both egress modes.
+/// The schema this binary writes and the only one `--check` gates
+/// against: v5 rows are ring-only (the channel egress mode of v4 went
+/// with the channel).
+const SCHEMA: &str = "lease-bench/BENCH_svc/v5";
+
+/// Runs the full sweep: per shard count, a per-op and a batched row — or
+/// one open-loop row per shard count in `--open-loop` mode — followed by
+/// the core-pinned scaling curve over `scale_counts`.
 fn measure(o: &Opts) -> SvcBench {
     let mut rows = Vec::new();
     for &s in &o.shard_counts {
@@ -790,17 +711,12 @@ fn measure(o: &Opts) -> SvcBench {
                 0,
                 o.open_loop,
                 false,
-                false,
             ));
         } else {
-            for ring in [false, true] {
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, 1, None, false, ring,
-                ));
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, o.batch, None, false, ring,
-                ));
-            }
+            rows.push(run_config(s, o.clients, o.files, o.window, 1, None, false));
+            rows.push(run_config(
+                s, o.clients, o.files, o.window, o.batch, None, false,
+            ));
         }
     }
     let scaling = if o.open_loop.is_none() && !o.scale_counts.is_empty() {
@@ -808,21 +724,17 @@ fn measure(o: &Opts) -> SvcBench {
         println!("scaling curve ({cores} cores, workers pinned 0..s, clients after):");
         let mut rows = Vec::new();
         for &s in &o.scale_counts {
-            for ring in [false, true] {
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, 1, None, true, ring,
-                ));
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, o.batch, None, true, ring,
-                ));
-            }
+            rows.push(run_config(s, o.clients, o.files, o.window, 1, None, true));
+            rows.push(run_config(
+                s, o.clients, o.files, o.window, o.batch, None, true,
+            ));
         }
         Some(ScalingCurve { cores, rows })
     } else {
         None
     };
     SvcBench {
-        schema: "lease-bench/BENCH_svc/v4".to_string(),
+        schema: SCHEMA.to_string(),
         clients: o.clients,
         files: o.files,
         window_ms: o.window.as_millis() as u64,
@@ -831,78 +743,34 @@ fn measure(o: &Opts) -> SvcBench {
     }
 }
 
-/// Ops/s of the row at `shards` in the given mode. A mode is the pair
-/// (`batched`, `egress`): batched rows never compare against per-op
-/// rows, and ring rows never compare against channel rows.
-fn mode_ops(rows: &[SweepRow], shards: usize, batched: bool, egress: &str) -> Option<f64> {
+/// Ops/s of the row at `shards` in the given mode: batched rows never
+/// compare against per-op rows.
+fn mode_ops(rows: &[SweepRow], shards: usize, batched: bool) -> Option<f64> {
     rows.iter()
-        .find(|r| r.shards == shards && (r.batch > 1) == batched && r.egress == egress)
+        .find(|r| r.shards == shards && (r.batch > 1) == batched)
         .map(|r| r.ops_per_sec)
 }
 
 /// The s4/s1 throughput ratio in one mode, when both rows are present.
-fn mode_ratio(rows: &[SweepRow], batched: bool, egress: &str) -> Option<f64> {
-    match (
-        mode_ops(rows, 1, batched, egress),
-        mode_ops(rows, 4, batched, egress),
-    ) {
+fn mode_ratio(rows: &[SweepRow], batched: bool) -> Option<f64> {
+    match (mode_ops(rows, 1, batched), mode_ops(rows, 4, batched)) {
         (Some(s1), Some(s4)) => Some(s4 / s1),
         _ => None,
     }
 }
 
-/// The per-op ring/channel throughput ratio at `shards`, when both rows
-/// are present — the number the egress gate protects.
-fn egress_ratio(rows: &[SweepRow], shards: usize) -> Option<f64> {
-    match (
-        mode_ops(rows, shards, false, "channel"),
-        mode_ops(rows, shards, false, "ring"),
-    ) {
-        (Some(chan), Some(ring)) => Some(ring / chan),
-        _ => None,
-    }
-}
-
-/// The `kind/egress` mode pairs a baseline's rows actually contain (with
-/// an s4/s1 ratio to compare against), for the skip notice: when a mode
-/// the fresh run measured is missing from the baseline, the notice names
-/// both sides instead of only one.
-fn recorded_modes(rows: &[SweepRow]) -> Vec<String> {
-    let mut out = Vec::new();
-    for (kind, batched) in [("per-op", false), ("batched", true)] {
-        for egress in ["channel", "ring"] {
-            if mode_ratio(rows, batched, egress).is_some() {
-                out.push(format!("{kind}/{egress}"));
-            }
-        }
-    }
-    out
-}
-
 /// The scaling gate. Always: batched throughput at 4 shards must
-/// strictly beat 1 shard (ring rows preferred, channel rows otherwise),
-/// and the fresh s4/s1 ratio in *each* mode must sit within 25% of the
-/// same mode's ratio in the checked-in baseline (raw ops/s is
-/// machine-dependent; the per-mode ratio is what the ingress and egress
-/// paths are supposed to protect). A mode is (batch class, egress):
-/// batched never compares against per-op, ring never against channel,
-/// and modes the baseline did not record — every ring mode under a v3
-/// baseline — are skipped, so old baselines keep parsing and gating
-/// what they know about. On a host with >= 4 cores the pinned scaling
-/// curve must additionally show batched s4 >= 2x batched s1, and the
-/// pinned per-op s4 *ring/channel* ratio must hold at least
-/// `max(1.0, 0.75 x baseline ratio)` — the ring reply path must keep
-/// beating the channel it replaced; on smaller hosts both multicore
-/// gates are skipped with a visible notice.
+/// strictly beat 1 shard, and the fresh s4/s1 ratio in *each* mode
+/// (per-op, batched) must sit within 25% of the same mode's ratio in the
+/// checked-in v5 baseline (raw ops/s is machine-dependent; the per-mode
+/// ratio is what the ingress and egress paths are supposed to protect).
+/// On a host with >= 4 cores the pinned scaling curve must additionally
+/// show batched s4 >= 2x batched s1; on smaller hosts that gate is
+/// skipped with a visible notice.
 fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
-    let scale_mode = if mode_ops(&fresh.rows, 1, true, "ring").is_some() {
-        "ring"
-    } else {
-        "channel"
-    };
     let (s1, s4) = match (
-        mode_ops(&fresh.rows, 1, true, scale_mode),
-        mode_ops(&fresh.rows, 4, true, scale_mode),
+        mode_ops(&fresh.rows, 1, true),
+        mode_ops(&fresh.rows, 4, true),
     ) {
         (Some(s1), Some(s4)) => (s1, s4),
         _ => return Err("check needs batched rows for shards=1 and shards=4".into()),
@@ -920,6 +788,14 @@ fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let baseline: SvcBench =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse {baseline_path}: {e:?}"))?;
+    if baseline.schema != SCHEMA {
+        // Older schemas mix reply-path modes in one row list; comparing
+        // against them would gate a ring run on channel rows.
+        return Err(format!(
+            "baseline {baseline_path} is {}, this run is {SCHEMA}: re-record the baseline",
+            baseline.schema
+        ));
+    }
     // Same-mode ratio comparison, for the main rows and (when both the
     // fresh run and the baseline recorded one) the pinned scaling curve.
     // The scaling section only gates when both recordings had >= 2 cores:
@@ -956,103 +832,52 @@ fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
             continue;
         };
         for (kind, batched) in [("per-op", false), ("batched", true)] {
-            for egress in ["channel", "ring"] {
-                let Some(ratio) = mode_ratio(fresh_rows, batched, egress) else {
-                    continue;
-                };
-                let Some(b_ratio) = mode_ratio(base_rows, batched, egress) else {
-                    // A v3 baseline has no ring rows; name both sides —
-                    // the mode this run measured AND the modes the
-                    // baseline can actually vouch for — rather than
-                    // silently passing.
-                    let recorded = recorded_modes(base_rows);
-                    println!(
-                        "check {section}/{kind}/{egress}: s4/s1 = {ratio:.2}x, but the baseline \
-                         recorded no {kind}/{egress} rows (it has: {}) — this run's {kind}/{egress} \
-                         mode is skipped, not gated",
-                        if recorded.is_empty() {
-                            "none".to_string()
-                        } else {
-                            recorded.join(", ")
-                        }
-                    );
-                    continue;
-                };
-                let floor = b_ratio * 0.75;
+            let Some(ratio) = mode_ratio(fresh_rows, batched) else {
+                continue;
+            };
+            let Some(b_ratio) = mode_ratio(base_rows, batched) else {
                 println!(
-                    "check {section}/{kind}/{egress}: s4/s1 = {ratio:.2}x, baseline {b_ratio:.2}x (floor {floor:.2}x)"
+                    "check {section}/{kind}: s4/s1 = {ratio:.2}x, but the baseline recorded no \
+                     {kind} s1/s4 rows — skipped, not gated"
                 );
-                if ratio < floor {
-                    return Err(format!(
-                        "{section}/{kind}/{egress} s4/s1 ratio {ratio:.2}x regressed >25% below baseline {b_ratio:.2}x"
-                    ));
-                }
+                continue;
+            };
+            let floor = b_ratio * 0.75;
+            println!(
+                "check {section}/{kind}: s4/s1 = {ratio:.2}x, baseline {b_ratio:.2}x (floor {floor:.2}x)"
+            );
+            if ratio < floor {
+                return Err(format!(
+                    "{section}/{kind} s4/s1 ratio {ratio:.2}x regressed >25% below baseline {b_ratio:.2}x"
+                ));
             }
         }
     }
-    // The multicore gates: with >= 4 real cores and pinned workers,
-    // (a) the batched path must scale at least 2x from 1 shard to 4,
-    // and (b) the per-op s4 ring egress must beat the channel egress it
-    // replaced — in-run ratio >= max(1.0, 0.75 x the baseline's ratio).
+    // The multicore gate: with >= 4 real cores and pinned workers, the
+    // batched path must scale at least 2x from 1 shard to 4.
     match fresh.scaling.as_ref() {
         Some(curve) if curve.cores >= 4 => {
-            let mode = if mode_ratio(&curve.rows, true, "ring").is_some() {
-                "ring"
-            } else {
-                "channel"
-            };
-            let Some(ratio) = mode_ratio(&curve.rows, true, mode) else {
+            let Some(ratio) = mode_ratio(&curve.rows, true) else {
                 return Err("scaling curve lacks batched rows for shards=1 and shards=4".into());
             };
             println!(
-                "check multicore gate ({} cores): pinned batched/{mode} s4/s1 = {ratio:.2}x (need >= 2x)",
+                "check multicore gate ({} cores): pinned batched s4/s1 = {ratio:.2}x (need >= 2x)",
                 curve.cores
             );
             if ratio < 2.0 {
                 return Err(format!(
-                    "pinned batched/{mode} s4/s1 = {ratio:.2}x on a {}-core host (need >= 2x)",
+                    "pinned batched s4/s1 = {ratio:.2}x on a {}-core host (need >= 2x)",
                     curve.cores
                 ));
             }
-            match egress_ratio(&curve.rows, 4) {
-                Some(er) => {
-                    let b_er = baseline
-                        .scaling
-                        .as_ref()
-                        .filter(|b| b.cores >= 4)
-                        .and_then(|b| egress_ratio(&b.rows, 4));
-                    let floor = b_er.map_or(1.0, |b| (b * 0.75).max(1.0));
-                    match b_er {
-                        Some(b_er) => println!(
-                            "check egress gate ({} cores): pinned per-op s4 ring/channel = {er:.2}x, \
-                             baseline {b_er:.2}x (floor {floor:.2}x)",
-                            curve.cores
-                        ),
-                        None => println!(
-                            "check egress gate ({} cores): pinned per-op s4 ring/channel = {er:.2}x \
-                             (no >=4-core baseline ratio; floor {floor:.2}x)",
-                            curve.cores
-                        ),
-                    }
-                    if er < floor {
-                        return Err(format!(
-                            "per-op s4 ring egress no longer beats the channel: {er:.2}x < floor {floor:.2}x"
-                        ));
-                    }
-                }
-                None => println!(
-                    "check egress gate SKIPPED: scaling curve lacks per-op s4 rows in both egress modes"
-                ),
-            }
         }
         Some(curve) => println!(
-            "check multicore + egress gates SKIPPED: only {} core(s), need >= 4 for the 2x batched \
-             s4/s1 gate and the per-op s4 ring-vs-channel gate",
+            "check multicore gate SKIPPED: only {} core(s), need >= 4 for the 2x batched s4/s1 gate",
             curve.cores
         ),
-        None => println!(
-            "check multicore + egress gates SKIPPED: no scaling curve in this run (--scale none)"
-        ),
+        None => {
+            println!("check multicore gate SKIPPED: no scaling curve in this run (--scale none)")
+        }
     }
     Ok(())
 }

@@ -348,9 +348,7 @@ fn measure_net(o: &NetOpts) -> NetBench {
     // The same-run in-process reference: the batched ring row this
     // topology is allowed to cost at most 2x of.
     print!("inproc ");
-    let inproc = run_config(
-        o.shards, o.gens, o.files, o.window, o.batch, None, false, true,
-    );
+    let inproc = run_config(o.shards, o.gens, o.files, o.window, o.batch, None, false);
     let ratio = if inproc.ops_per_sec > 0.0 {
         net.ops_per_sec / inproc.ops_per_sec
     } else {

@@ -118,9 +118,13 @@ impl NetCounters {
 /// running `lease-svc` service, and streams its egress back out.
 ///
 /// Client identity is by [`ClientId`], established by the connection's
-/// opening hello frame; ids must be `< egress.clients()`. A client that
+/// opening hello frame; ids must be `< egress.clients()`. Every message
+/// the connection sends is attributed to that id: a frame whose header
+/// names another sender is refused like any malformed frame, so one
+/// socket cannot act (fetch, approve) as another client. A client that
 /// reconnects (same id, new socket) resumes exactly where retransmission
-/// puts it — the server keeps no per-connection protocol state.
+/// puts it — the server keeps no per-connection protocol state, and the
+/// newest connection for an id owns its replies.
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -161,8 +165,8 @@ impl NetServer {
         // Perpetual writers: one per client id, for the server's
         // lifetime. Draining unconditionally is what keeps a dead
         // client's lanes from stalling shard workers.
-        let slots: Vec<Arc<Mutex<Option<TcpStream>>>> = (0..egress.clients())
-            .map(|_| Arc::new(Mutex::new(None)))
+        let slots: Vec<Arc<Mutex<WriterSlot>>> = (0..egress.clients())
+            .map(|_| Arc::new(Mutex::new(WriterSlot::default())))
             .collect();
         for (c, slot) in slots.iter().enumerate() {
             let rx = egress.rx(c);
@@ -284,10 +288,21 @@ fn bind_reuse(addr: SocketAddr) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
+/// One client id's reply stream, as its perpetual writer sees it.
+#[derive(Default)]
+struct WriterSlot {
+    /// The write half of the newest connection that said hello as this
+    /// client, while it lives.
+    stream: Option<TcpStream>,
+    /// Bumped by every hello, so a connection only ever clears the
+    /// stream it installed — never a newer connection's.
+    gen: u64,
+}
+
 fn accept_loop<R, D>(
     listener: TcpListener,
     svc: SvcHandle<R, D>,
-    slots: Vec<Arc<Mutex<Option<TcpStream>>>>,
+    slots: Vec<Arc<Mutex<WriterSlot>>>,
     clock: Arc<dyn Clock>,
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
@@ -326,7 +341,7 @@ fn accept_loop<R, D>(
 fn serve_conn<R, D>(
     mut stream: TcpStream,
     svc: SvcHandle<R, D>,
-    slots: &[Arc<Mutex<Option<TcpStream>>>],
+    slots: &[Arc<Mutex<WriterSlot>>],
     clock: &Arc<dyn Clock>,
     stop: &AtomicBool,
     counters: &NetCounters,
@@ -340,7 +355,8 @@ where
 
     let mut rd = FrameAccum::new();
     let mut batch: BatchBuf<R, D> = BatchBuf::new();
-    let mut who: Option<usize> = None;
+    // The hello id and the writer-slot generation it installed.
+    let mut who: Option<(ClientId, u64)> = None;
 
     'conn: while !stop.load(Ordering::SeqCst) {
         // Decode every complete frame currently buffered.
@@ -354,25 +370,24 @@ where
                 }
             };
             let frame = &rd.bytes()[..complete];
-            match decode_into(frame, clock, &mut batch, counters) {
+            match decode_into(frame, who.map(|(id, _)| id), clock, &mut batch, counters) {
                 Ok(DecodedFrame::Hello(from)) => {
                     let c = from.0 as usize;
-                    if c >= slots.len() {
-                        break 'conn; // unknown client id: refuse
+                    if c >= slots.len() || who.is_some() {
+                        // Unknown client id, or a second hello: refuse.
+                        counters.bad_frames.fetch_add(1, Ordering::Relaxed);
+                        break 'conn;
                     }
-                    who = Some(c);
-                    // Install the write half with the client's writer
-                    // (replacing any stale stream from a prior
-                    // connection).
+                    // Install the write half with the client's writer,
+                    // replacing any stream from a prior connection.
                     let out = stream.try_clone()?;
-                    *slots[c].lock().expect("writer slot poisoned") = Some(out);
+                    let mut slot = slots[c].lock().expect("writer slot poisoned");
+                    slot.gen += 1;
+                    slot.stream = Some(out);
+                    who = Some((from, slot.gen));
                 }
-                Ok(DecodedFrame::Batch) => {
-                    if who.is_none() {
-                        break 'conn; // messages before hello: refuse
-                    }
-                }
-                Err(_) => {
+                Ok(DecodedFrame::Batch) => {}
+                Ok(DecodedFrame::Refused) | Err(_) => {
                     counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                     break 'conn;
                 }
@@ -412,11 +427,12 @@ where
     }
 
     // Drop our installed write half so the writer stops writing into a
-    // dead socket (a reconnect installs a fresh one).
-    if let Some(c) = who {
-        let mut slot = slots[c].lock().expect("writer slot poisoned");
-        if slot.is_some() {
-            *slot = None;
+    // dead socket — unless a newer connection for the same client has
+    // already replaced it (a reconnect installs a fresh one).
+    if let Some((id, gen)) = who {
+        let mut slot = slots[id.0 as usize].lock().expect("writer slot poisoned");
+        if slot.gen == gen {
+            slot.stream = None;
         }
     }
     Ok(())
@@ -425,12 +441,17 @@ where
 enum DecodedFrame {
     Hello(ClientId),
     Batch,
+    /// A C2s frame that is not this connection's to send: it arrived
+    /// before any hello, or its header names another sender.
+    Refused,
 }
 
-/// Decodes one complete frame into `batch`, re-anchoring wire deadlines
+/// Decodes one complete frame into `batch`, attributing every message to
+/// `who` (the connection's hello id) and re-anchoring wire deadlines
 /// (remaining time-to-live) on the server's clock.
 fn decode_into<R, D>(
     frame: &[u8],
+    who: Option<ClientId>,
     clock: &Arc<dyn Clock>,
     batch: &mut BatchBuf<R, D>,
     counters: &NetCounters,
@@ -443,11 +464,14 @@ where
     match h.dir {
         Dir::Hello => Ok(DecodedFrame::Hello(h.from)),
         Dir::C2s => {
+            let Some(who) = who.filter(|&w| w == h.from) else {
+                return Ok(DecodedFrame::Refused);
+            };
             let now = clock.now();
             let mut n = 0u64;
             while let Some((msg, remaining)) = it.next_c2s::<R, D>()? {
                 let deadline = remaining.map(|rem| now.saturating_add(rem));
-                batch.push_deadline(h.from, msg, deadline);
+                batch.push_deadline(who, msg, deadline);
                 n += 1;
             }
             counters.msgs_in.fetch_add(n, Ordering::Relaxed);
@@ -462,7 +486,7 @@ where
 /// disconnected it drains and discards.
 fn writer_loop<R, D>(
     mut rx: EgressRx<R, D>,
-    slot: Arc<Mutex<Option<TcpStream>>>,
+    slot: Arc<Mutex<WriterSlot>>,
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
 ) where
@@ -482,7 +506,7 @@ fn writer_loop<R, D>(
         while rx.drain_into(&mut msgs, usize::MAX) > 0 {}
 
         let mut guard = slot.lock().expect("writer slot poisoned");
-        let Some(stream) = guard.as_mut() else {
+        let Some(stream) = guard.stream.as_mut() else {
             msgs.clear(); // disconnected: discard, client will retransmit
             continue;
         };
@@ -506,7 +530,7 @@ fn writer_loop<R, D>(
                     .fetch_add(wire.len() as u64, Ordering::Relaxed);
                 counters.msgs_out.fetch_add(n, Ordering::Relaxed);
             }
-            Err(_) => *guard = None, // dead socket: discard until reconnect
+            Err(_) => guard.stream = None, // dead socket: discard until reconnect
         }
     }
 }

@@ -11,7 +11,7 @@ use lease_core::{
     ClientId, ErrorReason, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer,
 };
-use lease_net::tcp::FrameAccum;
+use lease_net::tcp::{FrameAccum, NetCountersSnapshot};
 use lease_net::{connect_as, NetServer};
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
 use lease_wire::{frame_len, frame_messages, Dir, FrameBuilder};
@@ -59,6 +59,23 @@ fn start(shards: usize, clients: usize, files: u64) -> Harness {
     }
 }
 
+/// The server's counters once `settled` holds, or after 5s. Writers
+/// count a flush only after its `write_all` returns, so a client can
+/// read the replies before the counters move.
+fn counters_when(
+    h: &Harness,
+    settled: impl Fn(&NetCountersSnapshot) -> bool,
+) -> NetCountersSnapshot {
+    let t0 = Instant::now();
+    loop {
+        let snap = h.net.counters().snapshot();
+        if settled(&snap) || t0.elapsed() > Duration::from_secs(5) {
+            return snap;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// A minimal blocking wire client: one socket, synchronous RPC.
 struct WireClient {
     stream: std::net::TcpStream,
@@ -93,8 +110,13 @@ impl WireClient {
 
     /// Receives replies until `n` messages have arrived or 5s pass.
     fn recv(&mut self, n: usize) -> Vec<ToClient<R, D>> {
+        self.recv_within(n, Duration::from_secs(5))
+    }
+
+    /// Receives replies until `n` messages have arrived or `within` passes.
+    fn recv_within(&mut self, n: usize, within: Duration) -> Vec<ToClient<R, D>> {
         let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + within;
         while got.len() < n && Instant::now() < deadline {
             while let Ok(Some(len)) = frame_len(self.accum.bytes()) {
                 if self.accum.bytes().len() < len {
@@ -149,7 +171,7 @@ fn fetch_over_tcp_grants() {
         }
         other => panic!("expected one grant, got {other:?}"),
     }
-    let snap = h.net.counters().snapshot();
+    let snap = counters_when(&h, |s| s.msgs_in >= 1 && s.msgs_out >= 1);
     assert!(snap.msgs_in >= 1 && snap.msgs_out >= 1);
     h.net.shutdown();
     h.service.shutdown();
@@ -177,7 +199,7 @@ fn batched_fetches_coalesce_on_the_wire() {
     c.send(&batch);
     let replies = c.recv(32);
     assert_eq!(replies.len(), 32, "all 32 fetches answered");
-    let snap = h.net.counters().snapshot();
+    let snap = counters_when(&h, |s| s.msgs_out >= 32);
     assert_eq!(snap.msgs_out, 32);
     assert!(
         snap.write_calls < 32,
@@ -340,6 +362,84 @@ fn reconnect_resumes_replies() {
             .any(|r| matches!(r, ToClient::Grants { req, .. } if *req == ReqId(2))),
         "reply after reconnect; got {replies:?}"
     );
+    h.net.shutdown();
+    h.service.shutdown();
+}
+
+fn fetch(req: u64, resource: u64) -> (ToServer<R, D>, Option<Dur>) {
+    (
+        ToServer::Fetch {
+            req: ReqId(req),
+            resource,
+            cached: None,
+            also_extend: Vec::new(),
+        },
+        None,
+    )
+}
+
+/// A stale connection closing must not unplug its successor: A says
+/// hello as client 0, B says hello as client 0, then A closes — replies
+/// to B keep flowing.
+#[test]
+fn stale_connection_close_keeps_successor_wired() {
+    let h = start(1, 1, 8);
+    let mut a = WireClient::connect(&h, ClientId(0));
+    a.send(&[fetch(1, 1)]);
+    assert_eq!(a.recv(1).len(), 1, "A is wired");
+    let mut b = WireClient::connect(&h, ClientId(0));
+    b.send(&[fetch(2, 2)]);
+    assert_eq!(b.recv(1).len(), 1, "B replaced A");
+
+    drop(a);
+    // Let A's reader see the EOF and exit.
+    std::thread::sleep(Duration::from_millis(300));
+
+    b.send(&[fetch(3, 3)]);
+    let replies = b.recv(1);
+    assert!(
+        replies
+            .iter()
+            .any(|r| matches!(r, ToClient::Grants { req, .. } if *req == ReqId(3))),
+        "B's replies were dropped after A closed; got {replies:?}"
+    );
+    h.net.shutdown();
+    h.service.shutdown();
+}
+
+/// Identity is bound to the connection: a socket that said hello as
+/// client 0 and stamps a frame as client 1 is refused (counted as a bad
+/// frame). Client 1 gets no grant, holds no lease, and so a write to the
+/// resource commits without asking it for approval.
+#[test]
+fn frame_stamped_as_another_client_is_refused() {
+    let h = start(1, 2, 8);
+    let mut victim = WireClient::connect(&h, ClientId(1));
+    let mut forger = WireClient::connect(&h, ClientId(0));
+    forger.who = ClientId(1);
+    forger.send(&[fetch(1, 3)]);
+    let t0 = Instant::now();
+    while h.net.counters().snapshot().bad_frames == 0 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(h.net.counters().snapshot().bad_frames, 1);
+
+    let mut honest = WireClient::connect(&h, ClientId(0));
+    honest.send(&[(
+        ToServer::Write {
+            req: ReqId(2),
+            resource: 3,
+            data: 42,
+        },
+        None,
+    )]);
+    let done = honest.recv_within(1, Duration::from_secs(2));
+    assert!(
+        matches!(&done[..], [ToClient::WriteDone { req, .. }] if *req == ReqId(2)),
+        "the write waited on a phantom leaseholder; got {done:?}"
+    );
+    let leaked = victim.recv_within(1, Duration::from_millis(300));
+    assert!(leaked.is_empty(), "client 1 was sent {leaked:?}");
     h.net.shutdown();
     h.service.shutdown();
 }

@@ -15,10 +15,11 @@
 //!   An unwritable socket is [`PortVerdict::Dropped`] — exactly the
 //!   lost-datagram case §2's retransmission machinery already recovers,
 //!   so a server crash needs no client-side handling at all.
-//! * A reader thread per client decodes reply frames and feeds the
-//!   worker's doorbell, reconnecting (with the hello handshake) whenever
-//!   the connection dies. Reconnection is invisible to the worker: its
-//!   pending ops simply retransmit into the new connection.
+//! * A reader thread per client decodes reply frames and publishes each
+//!   frame's replies as one run into the worker's egress lanes,
+//!   reconnecting (with the hello handshake) whenever the connection
+//!   dies. Reconnection is invisible to the worker: its pending ops
+//!   simply retransmit into the new connection.
 //!
 //! [`RtSystem`]: crate::system::RtSystem
 
@@ -32,11 +33,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::ring::Inbox;
 use lease_core::{Backoff, ClientConfig, ClientId, LeaseClient, RetryBudget, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
-use lease_svc::Egress;
+use lease_svc::{Egress, EgressWorker};
 use lease_wire::{frame_len, frame_messages, Dir, FrameBuilder};
 
 use crate::breaker::CircuitBreaker;
@@ -115,8 +115,9 @@ impl NetClient {
         let recorder = Arc::new(Recorder::with_clock(Arc::clone(&clock)));
         let stop = Arc::new(AtomicBool::new(false));
         // A local egress registry supplies each worker's lanes+doorbell;
-        // the reader threads publish over the channel half and ring the
-        // bell, so the worker's one-bell park loop works unchanged.
+        // each reader thread owns one producer on it and publishes every
+        // decoded frame as one run, so the worker's one-bell park loop
+        // works exactly as in-process.
         let egress: Egress<Res, Bytes> = Egress::new(cfg.clients as usize, 1024);
         let mut handles = Vec::new();
         let mut cmd_txs = Vec::new();
@@ -124,15 +125,13 @@ impl NetClient {
 
         for i in 0..cfg.clients {
             let (cmd_tx, cmd_rx) = unbounded();
-            let (net_tx, net_rx) = unbounded();
             let slot: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
 
             threads.push(spawn_reader(
                 cfg.addr,
                 ClientId(i),
                 Arc::clone(&slot),
-                net_tx,
-                egress.inbox(i as usize),
+                egress.worker(),
                 Arc::clone(&stop),
             ));
 
@@ -159,7 +158,6 @@ impl NetClient {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i as usize),
                 Box::new(port),
                 Arc::clone(&clock),
@@ -254,18 +252,19 @@ impl Port for TcpPort {
 }
 
 /// The per-client reader: owns the connect/reconnect loop, decodes reply
-/// frames, and feeds the worker through its channel + doorbell.
+/// frames, and publishes each frame's replies as one run into the
+/// worker's lanes through its own egress producer.
 fn spawn_reader(
     addr: SocketAddr,
     who: ClientId,
     slot: Arc<Mutex<Option<TcpStream>>>,
-    net_tx: crossbeam::channel::Sender<ToClient<Res, Bytes>>,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    mut lanes: EgressWorker<Res, Bytes>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("lease-net-reader-{}", who.0))
         .spawn(move || {
+            let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
             while !stop.load(Ordering::SeqCst) {
                 // (Re)connect, with the hello handshake that names us.
                 let mut stream = match connect_as(&addr, who) {
@@ -291,22 +290,30 @@ fn spawn_reader(
                             Ok(_) => break,
                             Err(_) => break 'read, // corrupt stream: reconnect
                         };
-                        let mut delivered = false;
                         {
                             let frame = &accum.bytes()[..len];
                             let Ok((h, mut it)) = frame_messages(frame) else {
                                 break 'read;
                             };
                             if h.dir == Dir::S2c {
-                                while let Ok(Some(m)) = it.next_s2c::<Res, Bytes>() {
-                                    let _ = net_tx.send(m);
-                                    delivered = true;
+                                loop {
+                                    match it.next_s2c::<Res, Bytes>() {
+                                        Ok(Some(m)) => run.push(m),
+                                        Ok(None) => break,
+                                        Err(_) => {
+                                            // A frame that fails midway is a
+                                            // corrupt stream, not a short one.
+                                            run.clear();
+                                            break 'read;
+                                        }
+                                    }
                                 }
                             }
                         }
                         accum.consume(len);
-                        if delivered {
-                            inbox.bell().ring();
+                        if !run.is_empty() {
+                            lanes.push_run(who, &mut run);
+                            lanes.flush_wakes();
                         }
                     }
                     match accum.fill(&mut stream) {

@@ -15,8 +15,9 @@
 //!   the message is dropped and the client's retransmission backoff
 //!   provides the retry schedule (failover is *free*: the next
 //!   retransmission simply lands on the new grantor).
-//! * **Egress fencing** — each replica's sink drops every reply while its
-//!   gate is closed, so a grantor whose lease lapsed mid-batch cannot
+//! * **Egress fencing** — each replica's shard workers re-check its gate
+//!   per message in their ring-lane worker sinks and drop every reply
+//!   while it is closed, so a grantor whose lease lapsed mid-batch cannot
 //!   leak grants or write approvals (see `RtFence` in the server module).
 //! * **Commit fencing** — the storage each service writes through is
 //!   gated too: a stale grantor's deferred write is refused at the store,
@@ -47,8 +48,8 @@ use lease_core::{
 use lease_quorum::{GrantorGate, KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
-    chaos::silence_injected_kills, chaos::Delivery, Egress, FaultPlan, LeaseService, SvcConfig,
-    SvcError, SvcHandle, SvcHooks,
+    chaos::silence_injected_kills, Egress, FaultPlan, LeaseService, SvcConfig, SvcError, SvcHandle,
+    SvcHooks,
 };
 use lease_vsys::{History, HistoryEvent};
 
@@ -56,8 +57,8 @@ use crate::breaker::CircuitBreaker;
 use crate::client::{spawn_client, ClientCmd, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
-    lock_backend, ChaosNet, ClientLink, DelayPool, Port, PortVerdict, Res, RtFence, RtSink,
-    SharedBackend, StoreBackend,
+    lock_backend, C2sChaos, ChaosNet, DelayPool, DelayedSubmit, Port, PortVerdict, Res, RtFence,
+    RtSink, SharedBackend, StoreBackend,
 };
 
 /// The service registry the takeover hook reads: one handle slot per
@@ -92,58 +93,42 @@ impl Storage<Res, Bytes> for GatedBackend {
     }
 }
 
-/// One replica as the failover port sees it.
-///
-/// The handle sits behind a mutex because the failover routing core is
-/// *shared* state — the current-grantor hint is a property of the whole
-/// cluster, and chaos-delay threads re-resolve it at delivery time — so
-/// it cannot hold per-producer ring lanes the way the single-server
-/// port does. A lock per submission is the pre-ring ingress cost; the
-/// replicated topology is the fault-tolerance subsystem, not the
-/// throughput path, and keeps it.
-struct ReplicaTarget {
-    svc: Mutex<SvcHandle<Res, Bytes>>,
-    gate: Arc<GrantorGate>,
-}
-
-/// The routing core of the failover port, shared with chaos-delay threads.
+/// The cluster-wide routing core of the failover port: grantorship is a
+/// property of the whole cluster, not of one cache, so every port clone
+/// (and the delayed-submission sleeper) shares the current-grantor hint,
+/// the replicas' gates and the chaos dice.
 struct PortState {
-    replicas: Vec<ReplicaTarget>,
-    /// The last replica that accepted traffic. Shared across clients:
-    /// grantorship is a property of the cluster, not of one cache.
+    gates: Vec<Arc<GrantorGate>>,
+    /// The last replica that accepted traffic.
     current: AtomicUsize,
     chaos: Option<Arc<ChaosNet>>,
 }
 
 impl PortState {
-    /// Routes one message to the first willing replica, starting from the
+    /// Routes one message through `svcs` (one handle per replica, owned
+    /// by the caller) to the first willing replica, starting from the
     /// last success; at most one full rotation.
     fn route(
         &self,
+        svcs: &[SvcHandle<Res, Bytes>],
         from: ClientId,
         msg: ToServer<Res, Bytes>,
         deadline: Option<Time>,
     ) -> PortVerdict {
-        let n = self.replicas.len();
+        let n = svcs.len();
         let start = self.current.load(Ordering::Relaxed);
         for k in 0..n {
             let i = (start + k) % n;
-            let r = &self.replicas[i];
             // A closed gate is a refusal (not the grantor); a cut replica
             // is unreachable; a dead shard fails the send. All three move
             // on to the next candidate.
-            if !r.gate.is_open() {
+            if !self.gates[i].is_open() {
                 continue;
             }
             if self.chaos.as_ref().is_some_and(|c| c.replica_cut(i)) {
                 continue;
             }
-            match r
-                .svc
-                .lock()
-                .unwrap()
-                .try_send_at(from, msg.clone(), deadline)
-            {
+            match svcs[i].try_send_at(from, msg.clone(), deadline) {
                 Ok(()) => {
                     self.current.store(i, Ordering::Relaxed);
                     return PortVerdict::Sent;
@@ -159,13 +144,42 @@ impl PortState {
     }
 }
 
-/// The client-side failover port of the replicated topology. Cloned
-/// per client thread (both fields are shared `Arc`s — the routing core
-/// really is cluster-wide state).
+/// The client-side failover port of the replicated topology. Cloned per
+/// client thread: each clone owns one service handle per replica (its
+/// own ingress lanes), and shares the routing core and the inbound chaos.
 #[derive(Clone)]
 pub(crate) struct ReplicaPort {
     state: Arc<PortState>,
+    svcs: Vec<SvcHandle<Res, Bytes>>,
     cuts: Arc<Vec<Arc<AtomicBool>>>,
+    chaos: Option<Arc<C2sChaos>>,
+}
+
+impl ReplicaPort {
+    fn new(
+        state: PortState,
+        svcs: Vec<SvcHandle<Res, Bytes>>,
+        cuts: Arc<Vec<Arc<AtomicBool>>>,
+    ) -> ReplicaPort {
+        let state = Arc::new(state);
+        let chaos = state.chaos.clone().map(|net| {
+            // Late (or duplicated) submissions re-resolve the grantor at
+            // delivery time, through the sleeper's own handles.
+            let (late_state, late_svcs) = (Arc::clone(&state), svcs.clone());
+            let delay = DelayPool::new(move |d: DelayedSubmit| {
+                for _ in 0..d.copies {
+                    let _ = late_state.route(&late_svcs, d.from, d.msg.clone(), d.deadline);
+                }
+            });
+            Arc::new(C2sChaos { net, delay })
+        });
+        ReplicaPort {
+            state,
+            svcs,
+            cuts,
+            chaos,
+        }
+    }
 }
 
 impl Port for ReplicaPort {
@@ -178,31 +192,16 @@ impl Port for ReplicaPort {
         if self.cuts[from.0 as usize].load(Ordering::Relaxed) {
             return PortVerdict::Dropped;
         }
-        if let Some(chaos) = &self.state.chaos {
-            if chaos.cut(from.0 as usize) {
-                return PortVerdict::Dropped;
-            }
-            // The uplink dice roll once per submission, not per candidate:
-            // the fault lives on the client's link, not on the rotation.
-            match chaos.c2s(from.0 as usize) {
-                Delivery::Drop => return PortVerdict::Dropped,
-                Delivery::Deliver { delay, copies } => {
-                    if !delay.is_zero() || copies != 1 {
-                        // Late (or duplicated) submissions re-resolve the
-                        // grantor at delivery time, off the client thread.
-                        let state = Arc::clone(&self.state);
-                        std::thread::spawn(move || {
-                            std::thread::sleep(std::time::Duration::from(delay));
-                            for _ in 0..copies {
-                                let _ = state.route(from, msg.clone(), deadline);
-                            }
-                        });
-                        return PortVerdict::Sent;
-                    }
-                }
-            }
-        }
-        self.state.route(from, msg, deadline)
+        // The uplink dice roll once per submission, not per candidate:
+        // the fault lives on the client's link, not on the rotation.
+        let msg = match &self.chaos {
+            Some(chaos) => match chaos.roll(from, msg, deadline) {
+                Ok(msg) => msg,
+                Err(verdict) => return verdict,
+            },
+            None => msg,
+        };
+        self.state.route(&self.svcs, from, msg, deadline)
     }
 }
 
@@ -345,22 +344,16 @@ impl ReplicatedSystemBuilder {
             }
         }
 
-        // Per-client inbound channels, shared by every replica's sink.
-        // Data stays on the channels here (replies must pass the fence's
-        // per-message gate recheck); the egress registry exists only so
-        // each client thread has the one doorbell it parks on.
+        // One reply-lane registry shared by every replica's sink: each
+        // replica's shard workers are separate producers on it, and each
+        // sink checks its own fence before publishing.
         let egress: Egress<Res, Bytes> =
             Egress::new(self.clients as usize, SvcConfig::default().mailbox);
-        let mut link_protos = Vec::new();
-        let mut cuts = Vec::new();
-        let mut net_rxs = Vec::new();
-        for _ in 0..self.clients {
-            let (net_tx, net_rx) = unbounded();
-            let cut = Arc::new(AtomicBool::new(false));
-            link_protos.push((net_tx, cut.clone()));
-            cuts.push(cut);
-            net_rxs.push(net_rx);
-        }
+        let cuts: Arc<Vec<Arc<AtomicBool>>> = Arc::new(
+            (0..self.clients)
+                .map(|_| Arc::new(AtomicBool::new(false)))
+                .collect(),
+        );
         let chaos_net = self.chaos.as_ref().map(|p| {
             Arc::new(ChaosNet::new(
                 p.clone(),
@@ -443,26 +436,15 @@ impl ReplicatedSystemBuilder {
                 on_restart: None,
                 clock: Some(replica_clock),
             };
-            let links: Vec<ClientLink> = link_protos
-                .iter()
-                .enumerate()
-                .map(|(i, (tx, cut))| ClientLink {
-                    tx: tx.clone(),
-                    inbox: egress.inbox(i),
-                    cut: cut.clone(),
-                })
-                .collect();
-            let sink = Arc::new(RtSink {
-                links,
-                chaos: chaos_net.clone(),
-                fence: Some(RtFence {
+            let sink = Arc::new(RtSink::new(
+                egress.clone(),
+                Arc::clone(&cuts),
+                chaos_net.clone(),
+                Some(RtFence {
                     replica: r,
                     gate: Arc::clone(&gate),
                 }),
-                // The fence declines ring egress; leave the registry out.
-                egress: None,
-                delay: DelayPool::new(),
-            });
+            ));
             let term = self.term;
             let factory_backend = backend.clone();
             let factory_gate = Arc::clone(&gate);
@@ -528,24 +510,18 @@ impl ReplicatedSystemBuilder {
         }
 
         // Clients, submitting through the failover port.
-        let port = ReplicaPort {
-            state: Arc::new(PortState {
-                replicas: service_handles
-                    .iter()
-                    .enumerate()
-                    .map(|(r, svc)| ReplicaTarget {
-                        svc: Mutex::new(svc.clone()),
-                        gate: quorum.gate(r),
-                    })
-                    .collect(),
+        let port = ReplicaPort::new(
+            PortState {
+                gates: (0..replicas).map(|r| quorum.gate(r)).collect(),
                 current: AtomicUsize::new(0),
                 chaos: chaos_net,
-            }),
-            cuts: Arc::new(cuts.clone()),
-        };
+            },
+            service_handles.clone(),
+            Arc::clone(&cuts),
+        );
         let mut client_handles = Vec::new();
         let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
-        for (i, net_rx) in net_rxs.into_iter().enumerate() {
+        for i in 0..self.clients as usize {
             let (cmd_tx, cmd_rx) = unbounded();
             let cache = LeaseClient::new(
                 ClientId(i as u32),
@@ -569,7 +545,6 @@ impl ReplicatedSystemBuilder {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i),
                 Box::new(port.clone()),
                 client_clock,
@@ -587,6 +562,7 @@ impl ReplicatedSystemBuilder {
 
         ReplicatedSystem {
             services: service_objs,
+            egress,
             service_handles,
             quorum: Some(quorum),
             kill,
@@ -608,6 +584,7 @@ impl ReplicatedSystemBuilder {
 /// that fail over to the current grantor.
 pub struct ReplicatedSystem {
     services: Vec<LeaseService<Res, Bytes>>,
+    egress: Egress<Res, Bytes>,
     service_handles: Vec<SvcHandle<Res, Bytes>>,
     quorum: Option<QuorumRuntime>,
     kill: KillHandle,
@@ -615,7 +592,7 @@ pub struct ReplicatedSystem {
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
     client_cmd_txs: Vec<Sender<ClientCmd>>,
-    cuts: Vec<Arc<AtomicBool>>,
+    cuts: Arc<Vec<Arc<AtomicBool>>>,
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
     threads: Vec<JoinHandle<()>>,
@@ -681,6 +658,12 @@ impl ReplicatedSystem {
         for s in 0..self.shards {
             let _ = self.service_handles[i].kill_shard(s);
         }
+    }
+
+    /// How many replica-shard→client reply lanes have been opened so far
+    /// — every reply, from every replica, travels one.
+    pub fn egress_lanes(&self) -> u64 {
+        self.egress.lanes_opened()
     }
 
     /// Everything the perfect observer saw: client operations, store

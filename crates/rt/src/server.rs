@@ -4,9 +4,10 @@
 //! one channel. The real-time deployment now runs on the sharded
 //! `lease-svc` runtime instead: the pieces here adapt it to this crate's
 //! world — the durable [`StoreBackend`] shared by every shard, the
-//! [`RtSink`] that delivers shard output over per-client channels (with
-//! cut switches and seeded chaos faults), and the [`ServerPort`] client
-//! threads use to submit protocol messages into the service.
+//! [`RtSink`] that delivers shard output over per-client ring lanes
+//! (with cut switches, seeded chaos faults and the replica fence judged
+//! per message), and the [`ServerPort`] client threads use to submit
+//! protocol messages into the service.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -15,9 +16,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::ring::Inbox;
 use lease_core::{ClientId, ServerCounters, Storage, ToClient, ToServer, Version};
 use lease_store::{FileId, Store};
 use lease_svc::{
@@ -232,65 +231,46 @@ impl ChaosNet {
     }
 }
 
-/// Per-client outbound link, with a kill switch for fault injection.
-pub struct ClientLink {
-    /// Channel into the client thread (the cold/chaos/fence path; the
-    /// hot path is the ring lane the [`Egress`] registry hands shard
-    /// workers).
-    pub tx: Sender<ToClient<Res, Bytes>>,
-    /// The client's egress inbox. Every channel send must ring its
-    /// doorbell afterwards — the client thread parks on this one bell
-    /// for *all* of its inputs (commands, channel messages, ring
-    /// lanes).
-    pub inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
-    /// When set, messages to and from this client are dropped.
-    pub cut: Arc<AtomicBool>,
-}
-
-impl ClientLink {
-    /// Sends over the channel and rings the client's doorbell.
-    fn send(&self, msg: ToClient<Res, Bytes>) {
-        let _ = self.tx.send(msg);
-        self.inbox.bell().ring();
-    }
-}
-
 /// One shared sleeper thread servicing every delayed (or duplicated)
-/// chaos delivery, replacing the unbounded short-lived
-/// `std::thread::spawn` per faulted message: entries wait in a min-heap
-/// keyed by deadline, the sleeper parks until the earliest one is due,
-/// sends it, and rings the client's doorbell. The thread is spawned
-/// lazily on the first delayed delivery (fault-free runs never pay for
-/// it) and exits when the owning [`RtSink`] drops, discarding whatever
+/// chaos delivery in one direction, instead of a short-lived thread per
+/// faulted message: entries wait in a min-heap keyed by deadline, and
+/// the sleeper parks until the earliest one is due and hands it to its
+/// `deliver` callback. The callback is built once, up front, and moves
+/// into the sleeper thread, so it can own what a delivery needs without
+/// a lock — an [`EgressWorker`] for replies (one more producer on the
+/// client's lanes), service handle clones for submissions. The thread
+/// is spawned lazily on the first delayed delivery (fault-free runs
+/// never pay for it) and exits when the pool drops, discarding whatever
 /// is still pending — an undelivered delayed message is
 /// indistinguishable from a dropped one, which chaos already models.
-pub(crate) struct DelayPool {
-    inner: Arc<DelayShared>,
+pub(crate) struct DelayPool<T> {
+    inner: Arc<DelayShared<T>>,
 }
 
-struct DelayShared {
-    state: Mutex<DelayState>,
+/// The sleeper's delivery callback.
+type Deliver<T> = Box<dyn FnMut(T) + Send>;
+
+struct DelayShared<T> {
+    state: Mutex<DelayState<T>>,
     cvar: Condvar,
 }
 
-struct DelayState {
-    heap: BinaryHeap<DelayedSend>,
+struct DelayState<T> {
+    heap: BinaryHeap<Delayed<T>>,
     seq: u64,
-    started: bool,
+    /// The callback, until the sleeper thread takes it.
+    deliver: Option<Deliver<T>>,
     closed: bool,
 }
 
-struct DelayedSend {
+struct Delayed<T> {
     due: Instant,
     /// Insertion order, so equal deadlines deliver FIFO.
     seq: u64,
-    tx: Sender<ToClient<Res, Bytes>>,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
-    msg: ToClient<Res, Bytes>,
-    copies: u32,
+    item: T,
 }
 
-impl Ord for DelayedSend {
+impl<T> Ord for Delayed<T> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         // `BinaryHeap` is a max-heap; invert so the earliest deadline
         // surfaces first.
@@ -301,28 +281,28 @@ impl Ord for DelayedSend {
     }
 }
 
-impl PartialOrd for DelayedSend {
+impl<T> PartialOrd for Delayed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
 
-impl PartialEq for DelayedSend {
+impl<T> PartialEq for Delayed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.due == other.due && self.seq == other.seq
     }
 }
 
-impl Eq for DelayedSend {}
+impl<T> Eq for Delayed<T> {}
 
-impl DelayPool {
-    pub fn new() -> DelayPool {
+impl<T: Send + 'static> DelayPool<T> {
+    pub fn new(deliver: impl FnMut(T) + Send + 'static) -> DelayPool<T> {
         DelayPool {
             inner: Arc::new(DelayShared {
                 state: Mutex::new(DelayState {
                     heap: BinaryHeap::new(),
                     seq: 0,
-                    started: false,
+                    deliver: Some(Box::new(deliver)),
                     closed: false,
                 }),
                 cvar: Condvar::new(),
@@ -330,8 +310,8 @@ impl DelayPool {
         }
     }
 
-    /// Queues `copies` of `msg` for delivery to `link` after `delay`.
-    pub fn schedule(&self, delay: Dur, link: &ClientLink, msg: ToClient<Res, Bytes>, copies: u32) {
+    /// Queues `item` for delivery after `delay`.
+    pub fn schedule(&self, delay: Dur, item: T) {
         let due = Instant::now() + std::time::Duration::from(delay);
         let mut st = self
             .inner
@@ -343,20 +323,12 @@ impl DelayPool {
         }
         let seq = st.seq;
         st.seq += 1;
-        st.heap.push(DelayedSend {
-            due,
-            seq,
-            tx: link.tx.clone(),
-            inbox: Arc::clone(&link.inbox),
-            msg,
-            copies,
-        });
-        if !st.started {
-            st.started = true;
+        st.heap.push(Delayed { due, seq, item });
+        if let Some(deliver) = st.deliver.take() {
             let inner = Arc::clone(&self.inner);
             std::thread::Builder::new()
                 .name("rt-chaos-delay".into())
-                .spawn(move || inner.run())
+                .spawn(move || inner.run(deliver))
                 .expect("spawn chaos delay sleeper");
         }
         drop(st);
@@ -364,7 +336,7 @@ impl DelayPool {
     }
 }
 
-impl Drop for DelayPool {
+impl<T> Drop for DelayPool<T> {
     fn drop(&mut self) {
         let mut st = self
             .inner
@@ -378,8 +350,8 @@ impl Drop for DelayPool {
     }
 }
 
-impl DelayShared {
-    fn run(&self) {
+impl<T> DelayShared<T> {
+    fn run(&self, mut deliver: Deliver<T>) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if st.closed {
@@ -403,19 +375,28 @@ impl DelayShared {
             }
             let entry = st.heap.pop().expect("peeked");
             // Deliver outside the lock: schedulers must never block
-            // behind a slow (or full) client channel.
+            // behind a slow (or full) client lane or shard mailbox.
             drop(st);
-            for _ in 0..entry.copies {
-                let _ = entry.tx.send(entry.msg.clone());
-            }
-            entry.inbox.bell().ring();
+            deliver(entry.item);
             st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
+/// A chaos-delayed reply: `copies` of the message, bound for `to`.
+type DelayedReply = (ClientId, ToClient<Res, Bytes>, u32);
+
+/// A chaos-delayed (or duplicated) client submission.
+pub(crate) struct DelayedSubmit {
+    pub from: ClientId,
+    pub msg: ToServer<Res, Bytes>,
+    pub deadline: Option<Time>,
+    pub copies: u32,
+}
+
 /// Egress fencing for one replica of the replicated topology: which
 /// replica this service is, and the grantor gate its replies must pass.
+#[derive(Clone)]
 pub(crate) struct RtFence {
     /// This service's replica index (for plan-relative cut windows).
     pub replica: usize,
@@ -425,32 +406,118 @@ pub(crate) struct RtFence {
     pub gate: Arc<lease_quorum::GrantorGate>,
 }
 
-/// Delivers shard output to client threads: over per-client SPSC ring
-/// lanes when the topology is fault-free (each shard worker attaches a
-/// private [`EgressWorker`] at thread start), over the per-client
-/// channels otherwise — chaos rolls per-message dice and the replica
-/// fence re-checks its gate per message, both of which need the shared
-/// one-at-a-time path.
+/// Delivers shard output to client threads over per-client SPSC ring
+/// lanes: each shard worker attaches a private [`RtWorkerSink`] at
+/// thread start, which makes the per-message fault and fence decisions
+/// before publishing.
 pub(crate) struct RtSink {
-    pub links: Vec<ClientLink>,
-    pub chaos: Option<Arc<ChaosNet>>,
+    egress: Egress<Res, Bytes>,
+    /// Per-client kill switches (the partition / crashed-client fault).
+    cuts: Arc<Vec<Arc<AtomicBool>>>,
+    chaos: Option<Arc<ChaosNet>>,
     /// Present only in the replicated topology.
-    pub fence: Option<RtFence>,
-    /// The ring-lane registry; `None` leaves every delivery on the
-    /// channel path.
-    pub egress: Option<Egress<Res, Bytes>>,
-    /// Shared sleeper for chaos-delayed deliveries.
-    pub delay: DelayPool,
+    fence: Option<RtFence>,
+    /// Shared sleeper for chaos-delayed replies.
+    delay: Arc<DelayPool<DelayedReply>>,
 }
 
-/// A shard worker's private egress half in the real-time topology: the
-/// ring lanes plus the per-client cut switches, which fault injection
-/// can flip at any moment and therefore must gate the ring path exactly
-/// like they gate the channel path.
+impl RtSink {
+    pub fn new(
+        egress: Egress<Res, Bytes>,
+        cuts: Arc<Vec<Arc<AtomicBool>>>,
+        chaos: Option<Arc<ChaosNet>>,
+        fence: Option<RtFence>,
+    ) -> RtSink {
+        let mut worker = egress.worker();
+        let mut run = Vec::new();
+        let delay = Arc::new(DelayPool::new(move |(to, msg, copies): DelayedReply| {
+            for _ in 1..copies {
+                run.push(msg.clone());
+            }
+            run.push(msg);
+            worker.push_run(to, &mut run);
+            worker.flush_wakes();
+        }));
+        RtSink {
+            egress,
+            cuts,
+            chaos,
+            fence,
+            delay,
+        }
+    }
+}
+
+impl ClientSink<Res, Bytes> for RtSink {
+    fn attach_worker(&self) -> Box<dyn WorkerSink<Res, Bytes>> {
+        Box::new(RtWorkerSink {
+            worker: self.egress.worker(),
+            cuts: Arc::clone(&self.cuts),
+            chaos: self.chaos.clone(),
+            fence: self.fence.clone(),
+            delay: Arc::clone(&self.delay),
+            run: Vec::new(),
+        })
+    }
+}
+
+/// A shard worker's private egress half in the real-time topology. Every
+/// message is judged on its own, in this order: replica fence (gate
+/// closed or replica cut) → drop; client cut switch → drop; plan cut
+/// window → drop; the client's server→client dice → drop, pass, or hand
+/// to the delay sleeper. Each link's dice stream is therefore consumed
+/// once per message that reaches it. Survivors to the same client are
+/// published as one run.
 struct RtWorkerSink {
     worker: EgressWorker<Res, Bytes>,
-    cuts: Vec<Arc<AtomicBool>>,
+    cuts: Arc<Vec<Arc<AtomicBool>>>,
+    chaos: Option<Arc<ChaosNet>>,
+    fence: Option<RtFence>,
+    delay: Arc<DelayPool<DelayedReply>>,
     run: Vec<ToClient<Res, Bytes>>,
+}
+
+impl RtWorkerSink {
+    /// Whether the replica may emit anything at all right now. Re-checked
+    /// per message: the gate can lapse mid-flush.
+    fn fenced(&self) -> bool {
+        self.fence.as_ref().is_some_and(|f| {
+            !f.gate.is_open()
+                || self
+                    .chaos
+                    .as_ref()
+                    .is_some_and(|c| c.replica_cut(f.replica))
+        })
+    }
+
+    /// The per-message decision: `Some` publishes now, `None` means the
+    /// message was dropped or handed to the delay sleeper.
+    fn admit(&self, to: ClientId, msg: ToClient<Res, Bytes>) -> Option<ToClient<Res, Bytes>> {
+        if self.fenced() {
+            return None;
+        }
+        let c = to.0 as usize;
+        if self.cuts[c].load(Ordering::Relaxed) {
+            return None;
+        }
+        if let Some(chaos) = &self.chaos {
+            if chaos.cut(c) {
+                return None;
+            }
+            match chaos.s2c(c) {
+                Delivery::Drop => return None,
+                Delivery::Deliver { delay, copies } => {
+                    if !delay.is_zero() || copies != 1 {
+                        // Delayed (or duplicated) delivery must not block
+                        // the shard worker: hand it to the shared sleeper.
+                        self.delay.schedule(delay, (to, msg, copies));
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(msg)
+    }
 }
 
 impl WorkerSink<Res, Bytes> for RtWorkerSink {
@@ -458,126 +525,21 @@ impl WorkerSink<Res, Bytes> for RtWorkerSink {
         let mut run = std::mem::take(&mut self.run);
         let mut it = msgs.drain(..).peekable();
         while let Some((to, msg)) = it.next() {
-            // Check the cut *before* accumulating the run: a cut
-            // client's messages are discarded as they stream past, not
-            // staged and thrown away.
-            let cut = self.cuts[to.0 as usize].load(Ordering::Relaxed);
-            if !cut {
-                run.push(msg);
-            }
+            run.extend(self.admit(to, msg));
             while let Some((next, _)) = it.peek() {
                 if *next != to {
                     break;
                 }
                 let (_, m) = it.next().expect("peeked");
-                if !cut {
-                    run.push(m);
-                }
+                run.extend(self.admit(to, m));
             }
-            if !cut {
+            if !run.is_empty() {
                 self.worker.push_run(to, &mut run);
             }
         }
         drop(it);
         self.run = run;
         self.worker.flush_wakes();
-    }
-}
-
-impl RtSink {
-    /// Whether the replica may emit anything at all right now.
-    fn fenced(&self) -> bool {
-        match &self.fence {
-            None => false,
-            Some(f) => {
-                !f.gate.is_open()
-                    || self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|c| c.replica_cut(f.replica))
-            }
-        }
-    }
-}
-
-impl ClientSink<Res, Bytes> for RtSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<Res, Bytes>) {
-        if self.fenced() {
-            return;
-        }
-        let link = &self.links[to.0 as usize];
-        if link.cut.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(chaos) = &self.chaos {
-            if chaos.cut(to.0 as usize) {
-                return;
-            }
-            match chaos.s2c(to.0 as usize) {
-                Delivery::Drop => return,
-                Delivery::Deliver { delay, copies } => {
-                    if !delay.is_zero() || copies != 1 {
-                        // Delayed (or duplicated) delivery must not block
-                        // the shard worker: hand it to the shared sleeper.
-                        self.delay.schedule(delay, link, msg, copies);
-                        return;
-                    }
-                }
-            }
-        }
-        link.send(msg);
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<Res, Bytes>)>) {
-        if self.chaos.is_some() || self.fence.is_some() {
-            // Chaos rolls per-message dice (drop/delay/duplicate) and the
-            // fence must be re-checked per message (the gate can lapse
-            // mid-batch); keep the one-at-a-time path.
-            for (to, msg) in msgs.drain(..) {
-                self.deliver(to, msg);
-            }
-            return;
-        }
-        // Shard replies arrive heavily run-clustered (one client's batch
-        // drains in order), so group consecutive same-client messages and
-        // push each run through one locked enqueue. A cut client's
-        // messages are discarded *before* they are accumulated.
-        let mut it = msgs.drain(..).peekable();
-        let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
-        while let Some((to, msg)) = it.next() {
-            let link = &self.links[to.0 as usize];
-            let cut = link.cut.load(Ordering::Relaxed);
-            if !cut {
-                run.push(msg);
-            }
-            while let Some((next, _)) = it.peek() {
-                if *next != to {
-                    break;
-                }
-                let (_, m) = it.next().expect("peeked");
-                if !cut {
-                    run.push(m);
-                }
-            }
-            if !cut {
-                let _ = link.tx.send_many(run.drain(..));
-                link.inbox.bell().ring();
-            }
-        }
-    }
-
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<Res, Bytes>>> {
-        if self.chaos.is_some() || self.fence.is_some() {
-            // Per-message dice and per-message gate rechecks cannot ride
-            // a run-grouped lane publish: stay on the shared path.
-            return None;
-        }
-        let egress = self.egress.as_ref()?;
-        Some(Box::new(RtWorkerSink {
-            worker: egress.worker(),
-            cuts: self.links.iter().map(|l| Arc::clone(&l.cut)).collect(),
-            run: Vec::new(),
-        }))
     }
 }
 
@@ -617,14 +579,72 @@ pub trait Port: Send {
     ) -> PortVerdict;
 }
 
+/// The client→server half of a chaos plan: the dice, plus the system's
+/// one sleeper for delayed (or duplicated) submissions, whose callback
+/// owns its own service handle(s).
+pub(crate) struct C2sChaos {
+    pub net: Arc<ChaosNet>,
+    pub delay: DelayPool<DelayedSubmit>,
+}
+
+impl C2sChaos {
+    /// Rolls the dice for one submission: `Ok` sends it now, `Err` is
+    /// the verdict when chaos dropped it or handed it to the sleeper.
+    pub fn roll(
+        &self,
+        from: ClientId,
+        msg: ToServer<Res, Bytes>,
+        deadline: Option<Time>,
+    ) -> Result<ToServer<Res, Bytes>, PortVerdict> {
+        if self.net.cut(from.0 as usize) {
+            return Err(PortVerdict::Dropped);
+        }
+        match self.net.c2s(from.0 as usize) {
+            Delivery::Drop => Err(PortVerdict::Dropped),
+            Delivery::Deliver { delay, copies } if !delay.is_zero() || copies != 1 => {
+                let late = DelayedSubmit {
+                    from,
+                    msg,
+                    deadline,
+                    copies,
+                };
+                self.delay.schedule(delay, late);
+                Err(PortVerdict::Sent)
+            }
+            Delivery::Deliver { .. } => Ok(msg),
+        }
+    }
+}
+
 /// What client threads hold instead of a channel to a server thread: the
-/// sharded service handle, the cut switches, and the chaos dice for the
-/// inbound direction.
+/// sharded service handle, the cut switches, and the inbound chaos.
 #[derive(Clone)]
 pub(crate) struct ServerPort {
-    pub svc: SvcHandle<Res, Bytes>,
-    pub cuts: Arc<Vec<Arc<AtomicBool>>>,
-    pub chaos: Option<Arc<ChaosNet>>,
+    svc: SvcHandle<Res, Bytes>,
+    cuts: Arc<Vec<Arc<AtomicBool>>>,
+    chaos: Option<Arc<C2sChaos>>,
+}
+
+impl ServerPort {
+    pub fn new(
+        svc: SvcHandle<Res, Bytes>,
+        cuts: Arc<Vec<Arc<AtomicBool>>>,
+        chaos: Option<Arc<ChaosNet>>,
+    ) -> ServerPort {
+        let chaos = chaos.map(|net| {
+            // The sleeper owns its own handle clone: late (or duplicated)
+            // submissions happen off the client thread, where the
+            // blocking send is fine.
+            let late = svc.clone();
+            let delay = DelayPool::new(move |d: DelayedSubmit| {
+                for _ in 0..d.copies {
+                    let _ = late.send_at(d.from, d.msg.clone(), d.deadline);
+                }
+            });
+            Arc::new(C2sChaos { net, delay })
+        });
+        ServerPort { svc, cuts, chaos }
+    }
 }
 
 impl Port for ServerPort {
@@ -637,32 +657,149 @@ impl Port for ServerPort {
         if self.cuts[from.0 as usize].load(Ordering::Relaxed) {
             return PortVerdict::Dropped; // Fault injection: drop inbound too.
         }
-        if let Some(chaos) = &self.chaos {
-            if chaos.cut(from.0 as usize) {
-                return PortVerdict::Dropped;
-            }
-            match chaos.c2s(from.0 as usize) {
-                Delivery::Drop => return PortVerdict::Dropped,
-                Delivery::Deliver { delay, copies } => {
-                    if !delay.is_zero() || copies != 1 {
-                        // Late (or duplicated) submission happens off the
-                        // client thread; the blocking send is fine there.
-                        let svc = self.svc.clone();
-                        std::thread::spawn(move || {
-                            std::thread::sleep(std::time::Duration::from(delay));
-                            for _ in 0..copies {
-                                let _ = svc.send_at(from, msg.clone(), deadline);
-                            }
-                        });
-                        return PortVerdict::Sent;
-                    }
-                }
-            }
-        }
+        let msg = match &self.chaos {
+            Some(chaos) => match chaos.roll(from, msg, deadline) {
+                Ok(msg) => msg,
+                Err(verdict) => return verdict,
+            },
+            None => msg,
+        };
         match self.svc.try_send_at(from, msg.clone(), deadline) {
             Ok(()) => PortVerdict::Sent,
             Err(SvcError::Backpressure) => PortVerdict::RetryAfter(msg),
             Err(_) => PortVerdict::Dropped,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use lease_core::{MemStorage, ServerConfig, WriteId};
+    use lease_quorum::{QuorumConfig, QuorumHooks, QuorumRuntime};
+    use lease_svc::{EgressSink, LeaseService, SvcConfig, SvcHooks};
+
+    use super::*;
+
+    fn approval() -> ToClient<Res, Bytes> {
+        ToClient::ApprovalRequest {
+            write_id: WriteId(1),
+            resource: 7,
+            replaces: Version(1),
+        }
+    }
+
+    /// The egress fence is judged on the lanes, per message: a worker
+    /// sink of a replica whose gate is closed publishes nothing, while
+    /// the current grantor's sink, over the same registry, does.
+    #[test]
+    fn worker_sink_drops_replies_while_its_gate_is_closed() {
+        let quorum = QuorumRuntime::spawn(
+            QuorumConfig {
+                term: Dur::from_millis(250),
+                max_term: Dur::from_millis(550),
+                op_timeout: Dur::from_millis(60),
+                retry_base: Dur::from_millis(10),
+                stagger: Dur::from_millis(15),
+                ..QuorumConfig::default()
+            },
+            FaultPlan::new(0),
+            Arc::new(WallClock::new()),
+            QuorumHooks::default(),
+        );
+        let start = Instant::now();
+        let grantor = loop {
+            if let Some(r) = (0..quorum.replicas()).find(|&r| quorum.gate(r).is_open()) {
+                break r;
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "no grantor");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let stale = (grantor + 1) % quorum.replicas();
+
+        let egress: Egress<Res, Bytes> = Egress::new(1, 16);
+        let mut rx = egress.rx(0);
+        let cuts = Arc::new(vec![Arc::new(AtomicBool::new(false))]);
+        let sink = |replica: usize| {
+            RtSink::new(
+                egress.clone(),
+                Arc::clone(&cuts),
+                None,
+                Some(RtFence {
+                    replica,
+                    gate: quorum.gate(replica),
+                }),
+            )
+            .attach_worker()
+        };
+        let mut got = Vec::new();
+
+        sink(stale).deliver_batch(&mut vec![(ClientId(0), approval()); 3]);
+        rx.drain_into(&mut got, usize::MAX);
+        assert!(got.is_empty(), "a closed gate leaked {} replies", got.len());
+
+        sink(grantor).deliver_batch(&mut vec![(ClientId(0), approval()); 3]);
+        rx.drain_into(&mut got, usize::MAX);
+        assert_eq!(got.len(), 3, "the grantor's replies ride the lanes");
+        quorum.shutdown();
+    }
+
+    /// Threads alive in this process (Linux; `None` elsewhere).
+    fn threads() -> Option<usize> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+    }
+
+    /// Delayed and duplicated submissions share one sleeper thread: a few
+    /// hundred of them in flight at once must not add a thread apiece.
+    #[test]
+    fn delayed_submissions_share_one_sleeper() {
+        let egress: Egress<Res, Bytes> = Egress::new(1, 16);
+        let svc: LeaseService<Res, Bytes> = LeaseService::spawn(
+            SvcConfig {
+                shards: 1,
+                ..SvcConfig::default()
+            },
+            Arc::new(EgressSink::new(egress.clone())),
+            SvcHooks::default(),
+            |_| {
+                (
+                    lease_core::LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
+                    Box::new(MemStorage::new()) as Box<dyn Storage<Res, Bytes> + Send>,
+                )
+            },
+        );
+        // Every submission is duplicated and delayed up to half a second,
+        // so each one takes the late path.
+        let plan = FaultPlan::new(11)
+            .duplicate_messages(1.0)
+            .delay_messages(Dur::from_millis(500));
+        let chaos = Arc::new(ChaosNet::new(plan, WallClock::new(), 1));
+        let cuts = Arc::new(vec![Arc::new(AtomicBool::new(false))]);
+        let port = ServerPort::new(svc.handle(), cuts, Some(chaos));
+
+        let before = threads();
+        for _ in 0..300 {
+            let msg = ToServer::Relinquish { resources: vec![7] };
+            assert!(matches!(
+                port.send(ClientId(0), msg, None),
+                PortVerdict::Sent
+            ));
+        }
+        let after = threads();
+        // Other tests in this binary may start a few threads meanwhile;
+        // a thread per message would add ~300.
+        if let (Some(b), Some(a)) = (before, after) {
+            assert!(
+                a < b + 64,
+                "300 delayed submissions grew the process from {b} to {a} threads"
+            );
+        }
+        drop(port);
+        svc.shutdown();
     }
 }

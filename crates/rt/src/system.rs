@@ -23,8 +23,7 @@ use crate::breaker::CircuitBreaker;
 use crate::client::{spawn_client, ClientCmd, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
-    lock_backend, ChaosNet, ClientLink, DelayPool, Res, RtSink, ServerPort, ServerStats,
-    SharedBackend, StoreBackend,
+    lock_backend, ChaosNet, Res, RtSink, ServerPort, ServerStats, SharedBackend, StoreBackend,
 };
 
 /// Builder for an [`RtSystem`].
@@ -208,26 +207,17 @@ impl RtSystemBuilder {
             }
         }
 
-        // Per-client links first: the service's sink needs every one.
-        // Ring-lane egress rides next to the channels — each client gets
-        // an inbox whose doorbell is the one thing its thread parks on.
+        // Per-client cut switches and reply lanes first: the service's
+        // sink needs every one. Each client gets an egress inbox whose
+        // doorbell is the one thing its thread parks on.
         let base_cfg = SvcConfig::default();
         let mailbox = self.mailbox.unwrap_or(base_cfg.mailbox);
         let egress: Egress<Res, Bytes> = Egress::new(self.clients as usize, mailbox);
-        let mut links = Vec::new();
-        let mut cuts = Vec::new();
-        let mut net_rxs = Vec::new();
-        for i in 0..self.clients as usize {
-            let (net_tx, net_rx) = unbounded();
-            let cut = Arc::new(AtomicBool::new(false));
-            links.push(ClientLink {
-                tx: net_tx,
-                inbox: egress.inbox(i),
-                cut: cut.clone(),
-            });
-            cuts.push(cut);
-            net_rxs.push(net_rx);
-        }
+        let cuts: Arc<Vec<Arc<AtomicBool>>> = Arc::new(
+            (0..self.clients)
+                .map(|_| Arc::new(AtomicBool::new(false)))
+                .collect(),
+        );
 
         // The sharded lease service, every shard sharing the one durable
         // backend (resources are partitioned, so writers never collide).
@@ -301,13 +291,12 @@ impl RtSystemBuilder {
                 slow_shard: self.chaos.as_ref().and_then(|p| p.slow_shard),
                 ..base_cfg
             },
-            Arc::new(RtSink {
-                links,
-                chaos: chaos_net.clone(),
-                fence: None,
-                egress: Some(egress.clone()),
-                delay: DelayPool::new(),
-            }),
+            Arc::new(RtSink::new(
+                egress.clone(),
+                Arc::clone(&cuts),
+                chaos_net.clone(),
+                None,
+            )),
             hooks,
             move |i| {
                 let mut sc: ServerConfig<Res> = ServerConfig::fixed(term);
@@ -378,14 +367,10 @@ impl RtSystemBuilder {
         // gets its own port (and so its own handle clone — one SPSC lane
         // per shard): the handle is a per-producer object, not a shared
         // one.
-        let port = ServerPort {
-            svc: svc.clone(),
-            cuts: Arc::new(cuts.clone()),
-            chaos: chaos_net,
-        };
+        let port = ServerPort::new(svc.clone(), Arc::clone(&cuts), chaos_net);
         let mut client_handles = Vec::new();
         let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
-        for (i, net_rx) in net_rxs.into_iter().enumerate() {
+        for i in 0..self.clients as usize {
             let (cmd_tx, cmd_rx) = unbounded();
             let cache = LeaseClient::new(
                 ClientId(i as u32),
@@ -409,7 +394,6 @@ impl RtSystemBuilder {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i),
                 Box::new(port.clone()),
                 client_clock,
@@ -429,6 +413,7 @@ impl RtSystemBuilder {
         RtSystem {
             service: Some(service),
             svc,
+            egress,
             backend,
             recorder,
             client_handles,
@@ -448,11 +433,12 @@ impl RtSystemBuilder {
 pub struct RtSystem {
     service: Option<LeaseService<Res, Bytes>>,
     svc: SvcHandle<Res, Bytes>,
+    egress: Egress<Res, Bytes>,
     backend: Arc<Mutex<StoreBackend>>,
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
     client_cmd_txs: Vec<Sender<ClientCmd>>,
-    cuts: Vec<Arc<AtomicBool>>,
+    cuts: Arc<Vec<Arc<AtomicBool>>>,
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
     threads: Vec<JoinHandle<()>>,
@@ -548,6 +534,12 @@ impl RtSystem {
             writes_committed: lock_backend(&self.backend).store.writes_committed(),
             shard_restarts: stats.restarts,
         })
+    }
+
+    /// How many shard→client reply lanes have been opened so far — every
+    /// reply, chaos-delayed ones included, travels one.
+    pub fn egress_lanes(&self) -> u64 {
+        self.egress.lanes_opened()
     }
 
     /// Everything the perfect observer saw so far: operation starts and

@@ -157,6 +157,11 @@ fn seeded_message_chaos_preserves_consistency() {
         c0.read(a).unwrap();
     }
 
+    // Chaos rides the production reply path: the ring lanes.
+    assert!(
+        sys.egress_lanes() > 0,
+        "replies under chaos bypassed the lanes"
+    );
     let history = sys.history();
     sys.shutdown();
     check_history(&history).expect("drop/dup/delay chaos must not break consistency");

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use lease_clock::Dur;
 use lease_faults::check_history;
 use lease_quorum::QuorumConfig;
-use lease_rt::ReplicatedSystem;
+use lease_rt::{FaultPlan, ReplicatedSystem};
 
 /// Fast quorum tuning so takeovers land well inside the test budget.
 fn quick_quorum() -> QuorumConfig {
@@ -145,6 +145,39 @@ fn rolling_grantor_kills_keep_history_consistent() {
         c1.write(a, data.clone().into_bytes()).unwrap();
         assert_eq!(c0.read(a).unwrap(), Bytes::from(data.into_bytes()));
     }
+
+    let history = sys.history();
+    sys.shutdown();
+    let res = check_history(&history);
+    assert!(res.is_ok(), "violations: {:?}", res.err());
+}
+
+/// Message chaos on every client link of the replicated topology: the
+/// fenced replies travel the ring lanes (each replica's shard workers are
+/// producers on one shared registry) and the history stays clean.
+#[test]
+fn replicated_chaos_replies_ride_the_lanes() {
+    let plan = FaultPlan::new(0xFE9CE)
+        .drop_messages(0.05)
+        .duplicate_messages(0.05)
+        .delay_messages(Dur::from_millis(5));
+    let sys = ReplicatedSystem::builder()
+        .term(Dur::from_millis(200))
+        .retry_interval(Dur::from_millis(20))
+        .max_retries(400)
+        .quorum(quick_quorum())
+        .clients(2)
+        .file("/data/a", b"a0".as_ref())
+        .chaos(plan)
+        .start();
+    let a = sys.lookup("/data/a").unwrap();
+    let (c0, c1) = (sys.client(0), sys.client(1));
+    for k in 0..4 {
+        c0.read(a).unwrap();
+        c1.write(a, format!("a{}", k + 1).into_bytes()).unwrap();
+        assert_eq!(c0.read(a).unwrap(), Bytes::from(format!("a{}", k + 1)));
+    }
+    assert!(sys.egress_lanes() > 0, "fenced replies bypassed the lanes");
 
     let history = sys.history();
     sys.shutdown();

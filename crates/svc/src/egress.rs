@@ -29,10 +29,15 @@
 //! [`ClientSink::attach_worker`]: each worker asks the sink for its
 //! private [`EgressWorker`] at thread start (ring producers are
 //! deliberately `!Sync`, so they cannot live behind the shared sink
-//! `Arc`), and transports that must stay on the shared path — chaos
-//! dice, replica fences — simply decline.
+//! `Arc`). This is the only reply path: transports that roll chaos dice
+//! or re-check a replica fence wrap an [`EgressWorker`] and decide per
+//! message before calling [`EgressWorker::push_run`], and anything else
+//! that must reach a client later (a delayed chaos delivery, a socket
+//! reader on the client side) owns an [`EgressWorker`] of its own — one
+//! more producer on the same registry.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lease_core::ring::{spsc, Inbox, Lanes, Producer};
 use lease_core::{ClientId, ToClient};
@@ -57,6 +62,8 @@ type ClientInbox<R, D> = Arc<Inbox<ToClient<R, D>>>;
 pub struct Egress<R, D> {
     inboxes: Arc<[ClientInbox<R, D>]>,
     lane_cap: usize,
+    /// Lanes registered so far, across every producer.
+    opened: Arc<AtomicU64>,
 }
 
 impl<R, D> Clone for Egress<R, D> {
@@ -64,6 +71,7 @@ impl<R, D> Clone for Egress<R, D> {
         Egress {
             inboxes: Arc::clone(&self.inboxes),
             lane_cap: self.lane_cap,
+            opened: Arc::clone(&self.opened),
         }
     }
 }
@@ -79,6 +87,7 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
         Egress {
             inboxes: (0..clients).map(|_| Arc::new(Inbox::new())).collect(),
             lane_cap,
+            opened: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -94,9 +103,9 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
         Lanes::new(Arc::clone(&self.inboxes[c]))
     }
 
-    /// Client `c`'s inbox — for transports that keep a side channel
-    /// (cold/chaos paths) and must ring the client's one doorbell after
-    /// publishing to it.
+    /// Client `c`'s inbox — for whoever must ring the client's one
+    /// doorbell without publishing a reply (a command queued for the
+    /// client's thread, a shutdown).
     pub fn inbox(&self, c: usize) -> Arc<Inbox<ToClient<R, D>>> {
         Arc::clone(&self.inboxes[c])
     }
@@ -111,6 +120,12 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
             rung: Vec::with_capacity(self.inboxes.len()),
             run: Vec::new(),
         }
+    }
+
+    /// How many (producer→client) lanes have been registered so far: a
+    /// producer opens one on its first reply to each client.
+    pub fn lanes_opened(&self) -> u64 {
+        self.opened.load(Ordering::Relaxed)
     }
 
     /// Total futex-backed wakeups issued across every client doorbell —
@@ -159,6 +174,7 @@ impl<R: Send + 'static, D: Send + 'static> EgressWorker<R, D> {
         let p = self.producers[c].get_or_insert_with(|| {
             let (tx, rx) = spsc(self.egress.lane_cap);
             inbox.register(rx);
+            self.egress.opened.fetch_add(1, Ordering::Relaxed);
             tx
         });
         while !run.is_empty() {
@@ -226,36 +242,20 @@ impl<R: Send + 'static, D: Send + 'static> WorkerSink<R, D> for EgressWorker<R, 
 /// A ready-made [`ClientSink`] over an [`Egress`] registry for
 /// embedders without a transport of their own (benchmarks, tests):
 /// every shard worker gets its own [`EgressWorker`] through the
-/// [`ClientSink::attach_worker`] handshake, and the rare shared-path
-/// call (a custom sink layered on top, a cold single delivery) goes
-/// through one mutex-guarded fallback worker.
+/// [`ClientSink::attach_worker`] handshake.
 pub struct EgressSink<R, D> {
     egress: Egress<R, D>,
-    cold: Mutex<EgressWorker<R, D>>,
 }
 
 impl<R: Send + 'static, D: Send + 'static> EgressSink<R, D> {
     /// Wraps a registry.
     pub fn new(egress: Egress<R, D>) -> EgressSink<R, D> {
-        let cold = Mutex::new(egress.worker());
-        EgressSink { egress, cold }
+        EgressSink { egress }
     }
 }
 
 impl<R: Send + 'static, D: Send + 'static> ClientSink<R, D> for EgressSink<R, D> {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let mut w = self.cold.lock().expect("egress cold worker poisoned");
-        let mut one = vec![msg];
-        w.push_run(to, &mut one);
-        w.flush_wakes();
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        let mut w = self.cold.lock().expect("egress cold worker poisoned");
-        w.deliver_batch(msgs);
-    }
-
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<R, D>>> {
-        Some(Box::new(self.egress.worker()))
+    fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>> {
+        Box::new(self.egress.worker())
     }
 }

@@ -17,7 +17,8 @@
 //!   enqueue per touched shard. Worker: a shard drains its mailbox in
 //!   batches, so one wakeup amortizes grant/extend/approval processing
 //!   and timer maintenance. Egress: replies accumulate across the whole
-//!   wakeup and leave through a single [`ClientSink::deliver_batch`] call.
+//!   wakeup and leave through one [`WorkerSink::deliver_batch`] call on
+//!   the worker's private sink (SPSC lanes with an [`EgressSink`]).
 //! * **Adaptive parking** — a loaded shard spins briefly
 //!   (`SvcConfig::spin` polls) for its next batch before falling back to
 //!   a timed park on the mailbox condvar, keeping the hot path off the
@@ -61,14 +62,24 @@
 //! use lease_core::{
 //!     ClientId, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient, ToServer,
 //! };
-//! use lease_svc::{ClientSink, LeaseService, SvcConfig, SvcHooks};
+//! use lease_svc::{ClientSink, LeaseService, SvcConfig, SvcHooks, WorkerSink};
 //!
-//! // Replies go wherever the embedder wants; here, a channel.
+//! // Replies go wherever the embedder wants; here, a channel. Each shard
+//! // worker gets its own sending half at thread start.
+//! type Reply = (ClientId, ToClient<u64, String>);
 //! let (tx, rx) = crossbeam::channel::unbounded();
-//! struct Sink(crossbeam::channel::Sender<(ClientId, ToClient<u64, String>)>);
+//! #[derive(Clone)]
+//! struct Sink(crossbeam::channel::Sender<Reply>);
 //! impl ClientSink<u64, String> for Sink {
-//!     fn deliver(&self, to: ClientId, msg: ToClient<u64, String>) {
-//!         let _ = self.0.send((to, msg));
+//!     fn attach_worker(&self) -> Box<dyn WorkerSink<u64, String>> {
+//!         Box::new(self.clone())
+//!     }
+//! }
+//! impl WorkerSink<u64, String> for Sink {
+//!     fn deliver_batch(&mut self, msgs: &mut Vec<Reply>) {
+//!         for m in msgs.drain(..) {
+//!             let _ = self.0.send(m);
+//!         }
 //!     }
 //! }
 //!

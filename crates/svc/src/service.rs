@@ -19,44 +19,20 @@ use crate::shard::{spawn_shard, ShardCtx, ShardIngress, ShardMsg};
 /// Where shard workers deliver protocol messages bound for clients.
 ///
 /// The service owns routing *into* shards; delivery back out is the
-/// embedder's transport (channels in `lease-rt`, a socket in a real
-/// deployment), so it is abstracted behind this one call.
+/// embedder's transport (ring lanes in `lease-rt`, a socket in a real
+/// deployment), so it is abstracted behind one handshake. A shard worker
+/// calls [`ClientSink::attach_worker`] once, at thread start, and every
+/// flush of that worker leaves through the returned [`WorkerSink`].
+///
+/// The sending half is per worker because a ring
+/// [`lease_core::ring::Producer`] is deliberately `!Sync`:
+/// per-(shard→client) SPSC egress lanes cannot live behind the shared
+/// `&self` of a sink one `Arc` of which every worker holds. Transports
+/// that roll per-message fault dice or re-check a fence do so inside
+/// their worker sink, message by message.
 pub trait ClientSink<R, D>: Send + Sync {
-    /// Delivers `msg` to client `to`. Must not block indefinitely: a
-    /// blocked sink stalls the shard worker that called it.
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>);
-
-    /// Delivers one whole egress flush — everything a shard worker
-    /// accumulated across a mailbox drain plus wheel advance — draining
-    /// `msgs` in order.
-    ///
-    /// The default implementation loops over [`ClientSink::deliver`], so
-    /// every existing sink compiles and behaves unchanged. Transports
-    /// should override it to amortize per-message cost (one lock/syscall
-    /// round per *flush*, e.g. by grouping runs of messages to the same
-    /// client); per-client message order must be preserved.
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        for (to, msg) in msgs.drain(..) {
-            self.deliver(to, msg);
-        }
-    }
-
-    /// The egress-lane handshake. A shard worker calls this once, at
-    /// thread start, asking the sink for a *private* sending half it can
-    /// flush through without synchronization; `Some` routes every flush
-    /// of that worker through the returned [`WorkerSink`] instead of the
-    /// shared `deliver`/`deliver_batch` methods.
-    ///
-    /// This exists because a ring [`lease_core::ring::Producer`] is
-    /// deliberately `!Sync` — per-(shard→client) SPSC egress lanes
-    /// cannot live behind the shared `&self` methods of a sink one `Arc`
-    /// of which every worker holds. The default returns `None`: plain
-    /// sinks keep the shared path, and chaos/fenced transports (which
-    /// must roll per-message dice or re-check a gate) decline the
-    /// handshake to stay on it.
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<R, D>>> {
-        None
-    }
+    /// A private sending half for one shard worker.
+    fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>>;
 }
 
 /// One shard worker's private egress half, produced by
@@ -1029,10 +1005,19 @@ mod tests {
 
     type Msg = (ClientId, ToClient<u64, String>);
 
+    /// Every worker sends over its own clone of one channel.
+    #[derive(Clone)]
     struct ChanSink(Sender<Msg>);
     impl ClientSink<u64, String> for ChanSink {
-        fn deliver(&self, to: ClientId, msg: ToClient<u64, String>) {
-            let _ = self.0.send((to, msg));
+        fn attach_worker(&self) -> Box<dyn WorkerSink<u64, String>> {
+            Box::new(self.clone())
+        }
+    }
+    impl WorkerSink<u64, String> for ChanSink {
+        fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+            for m in msgs.drain(..) {
+                let _ = self.0.send(m);
+            }
         }
     }
 

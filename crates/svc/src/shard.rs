@@ -10,9 +10,8 @@
 //! batch per wakeup (control first, so it cannot starve behind
 //! saturated lanes), accumulates every reply those inputs and the timer
 //! advance produce into an outbox that leaves through a single flush
-//! per wakeup — via the worker's private [`WorkerSink`] egress lanes
-//! when the sink granted one at [`ClientSink::attach_worker`], else the
-//! shared [`ClientSink::deliver_batch`] — drives the core's timers and
+//! per wakeup through the worker's private [`WorkerSink`] (granted at
+//! [`ClientSink::attach_worker`]), drives the core's timers and
 //! the table's expiry pruning from a hierarchical [`TimerWheel`], and
 //! rewrites write ids on outbound approval requests so that approvals
 //! can be routed back to the owning shard from anywhere.
@@ -277,23 +276,15 @@ fn drain_control<R, D>(
 }
 
 /// One egress flush: everything the wakeup accumulated leaves through
-/// the worker's private ring-lane sink when the shared sink granted one
-/// at attach time, else through the shared [`ClientSink::deliver_batch`].
+/// the worker's private sink in one call.
 fn flush_outbox<R, D>(
-    ctx: &ShardCtx<R, D>,
-    wsink: &mut Option<Box<dyn WorkerSink<R, D>>>,
+    wsink: &mut dyn WorkerSink<R, D>,
     outbox: &mut Vec<(ClientId, ToClient<R, D>)>,
-) where
-    R: Resource,
-    D: Clone + Send + 'static,
-{
+) {
     if outbox.is_empty() {
         return;
     }
-    match wsink {
-        Some(w) => w.deliver_batch(outbox),
-        None => ctx.sink.deliver_batch(outbox),
-    }
+    wsink.deliver_batch(outbox);
     outbox.clear(); // In case a custom sink did not drain fully.
 }
 
@@ -306,7 +297,7 @@ fn run<R, D>(
     rx: &Receiver<ShardMsg<R, D>>,
     ctx: &ShardCtx<R, D>,
     lanes: &mut Lanes<ShardMsg<R, D>>,
-    wsink: &mut Option<Box<dyn WorkerSink<R, D>>>,
+    wsink: &mut dyn WorkerSink<R, D>,
     epoch: u64,
 ) -> Exit
 where
@@ -364,7 +355,7 @@ where
 
         // One egress flush per wakeup: everything the drained batch and
         // the wheel advance produced leaves in a single sink call.
-        flush_outbox(ctx, wsink, &mut outbox);
+        flush_outbox(wsink, &mut outbox);
 
         // Gather input (unless a replayed stash is already pending).
         // Ticket first, then poll: any publish after a poll bumps the
@@ -529,7 +520,7 @@ where
                             continue;
                         }
                         if !stats_skip_flush {
-                            flush_outbox(ctx, wsink, &mut outbox);
+                            flush_outbox(wsink, &mut outbox);
                         }
                         let _ = reply.send(server.counters);
                     }
@@ -543,7 +534,7 @@ where
                         // rely on a kill's observable effect not
                         // depending on how the mailbox happened to be
                         // chunked into batches.
-                        flush_outbox(ctx, wsink, &mut outbox);
+                        flush_outbox(wsink, &mut outbox);
                         *ctx.stash.lock().unwrap() = batch.drain(i..).collect();
                         panic!("{INJECTED_KILL}")
                     }
@@ -551,7 +542,7 @@ where
                         // Deliver what this batch already produced; the
                         // rest of the mailbox is abandoned with the
                         // service.
-                        flush_outbox(ctx, wsink, &mut outbox);
+                        flush_outbox(wsink, &mut outbox);
                         return Exit::Shutdown;
                     }
                 }
@@ -581,10 +572,10 @@ where
             // (dropping the consumers would instead sever every live
             // handle), and established egress lanes survive the restart.
             let mut lanes: Lanes<ShardMsg<R, D>> = Lanes::new(Arc::clone(&ctx.ingress));
-            let mut wsink: Option<Box<dyn WorkerSink<R, D>>> = ctx.sink.attach_worker();
+            let mut wsink: Box<dyn WorkerSink<R, D>> = ctx.sink.attach_worker();
             loop {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    run(&rx, &ctx, &mut lanes, &mut wsink, epoch)
+                    run(&rx, &ctx, &mut lanes, &mut *wsink, epoch)
                 })) {
                     Ok(Exit::Shutdown) | Ok(Exit::Disconnected) => break,
                     Err(_) => {

@@ -32,7 +32,7 @@ use lease_core::{
     ClientId, LeaseHandle, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer, Version,
 };
-use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHooks};
+use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHooks, WorkerSink};
 use proptest::prelude::*;
 
 const SHARDS: usize = 3;
@@ -40,10 +40,19 @@ const RESOURCES: u64 = 12;
 
 type Msg = (ClientId, ToClient<u64, u64>);
 
+/// Every shard worker sends over its own clone of one channel.
+#[derive(Clone)]
 struct ChanSink(Sender<Msg>);
 impl ClientSink<u64, u64> for ChanSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<u64, u64>) {
-        let _ = self.0.send((to, msg));
+    fn attach_worker(&self) -> Box<dyn WorkerSink<u64, u64>> {
+        Box::new(self.clone())
+    }
+}
+impl WorkerSink<u64, u64> for ChanSink {
+    fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+        for m in msgs.drain(..) {
+            let _ = self.0.send(m);
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! Property: ring-lane egress — shard workers publishing reply runs
 //! into per-client SPSC lanes with coalesced doorbells — is
-//! *observationally equivalent* to the channel sink, which survives as
-//! the executable spec of the pre-ring reply path (and as the live
-//! cold/chaos/fence transport in `lease-rt`).
+//! *observationally equivalent* to a per-worker channel sink, the
+//! executable spec of the pre-ring reply path.
 //!
 //! The same op stream run against both sinks — including with a shard
 //! kill/restart injected mid-stream, so a flush is interrupted and the
@@ -30,7 +29,9 @@ use lease_core::{
     ClientId, LeaseHandle, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer, Version,
 };
-use lease_svc::{ClientSink, Egress, EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks};
+use lease_svc::{
+    ClientSink, Egress, EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks, WorkerSink,
+};
 use proptest::prelude::*;
 
 const CLIENTS: usize = 2;
@@ -38,10 +39,19 @@ const RESOURCES: u64 = 12;
 
 type Msg = (ClientId, ToClient<u64, u64>);
 
+/// Every shard worker sends over its own clone of one channel.
+#[derive(Clone)]
 struct ChanSink(Sender<Msg>);
 impl ClientSink<u64, u64> for ChanSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<u64, u64>) {
-        let _ = self.0.send((to, msg));
+    fn attach_worker(&self) -> Box<dyn WorkerSink<u64, u64>> {
+        Box::new(self.clone())
+    }
+}
+impl WorkerSink<u64, u64> for ChanSink {
+    fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+        for m in msgs.drain(..) {
+            let _ = self.0.send(m);
+        }
     }
 }
 
